@@ -9,16 +9,17 @@
 //! [`SnapshotSet`]s — immutable, `Arc`-shared views
 //! that implement [`ReadHistogram`], so estimation (including
 //! cross-column joins through `dh_optimizer`) runs off shared, cached
-//! state between batches. The first read after a batch renders the
-//! column once; for dynamic specs that is one span copy, while a static
-//! spec pays its rebuild there (the cost static histograms owe
+//! state between batches. A commit renders each column it touched once,
+//! before it returns; for dynamic specs that is one span copy, while a
+//! static spec pays its rebuild there (the cost static histograms owe
 //! *somewhere* — choose a dynamic spec for write-hot columns).
 
+use crate::read::ImageKey;
 use crate::spec::AlgoSpec;
 use crate::store::{ColumnConfig, ColumnStore, SnapshotSet};
 use crate::txn::{
-    compose_at, BatchTicket, Cell, ColumnStamp, ComposeCache, DirectRestore, Registry,
-    RestoreColumn, StoreColumn, WriteBatch,
+    compose_at, BatchTicket, Cell, ColumnStamp, DirectRestore, Registry, RestoreColumn,
+    StoreColumn, WriteBatch,
 };
 use dh_core::{BucketSpan, HistogramCdf, ReadHistogram, UpdateOp};
 use std::fmt;
@@ -74,21 +75,15 @@ impl fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// One registered column: a single [`Cell`] plus its publish-consistent
-/// stamp and the compose cache.
+/// stamp.
 struct Column {
-    name: String,
     spec: AlgoSpec,
     cell: Cell,
     stamp: Mutex<ColumnStamp>,
-    cache: Mutex<ComposeCache>,
 }
 
 impl StoreColumn for Column {
     type Staged = ();
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 
     fn stage_ops(&self, ticket: &Arc<BatchTicket>, ops: Vec<UpdateOp>) {
         self.cell.stage(ticket.clone(), ops);
@@ -105,16 +100,8 @@ impl StoreColumn for Column {
         self.cell.drain_to(epoch);
     }
 
-    fn render_at(&self, epoch: u64, stamp: ColumnStamp) -> Result<Snapshot, u64> {
-        compose_at(
-            &[&self.cell],
-            epoch,
-            &self.cache,
-            &self.name,
-            self.spec.label(),
-            stamp.accepted,
-            stamp.updates,
-        )
+    fn render_at(&self, epoch: u64) -> Result<(String, Vec<BucketSpan>), u64> {
+        Ok((self.spec.label(), compose_at([&self.cell], epoch)?))
     }
 
     fn restore_content(&self, epoch: u64, ops: Vec<UpdateOp>) {
@@ -141,6 +128,20 @@ impl Catalog {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// `column` rendered afresh from its histogram state at the current
+    /// published epoch, through the pinned-render protocol, bypassing
+    /// the read front and its cache — the reference a front snapshot can
+    /// be checked against (the two must agree bit for bit at one
+    /// epoch). Pays a full render per call, so serve reads through
+    /// [`ColumnStore::snapshot`]; not counted in
+    /// [`ColumnStore::read_stats`].
+    ///
+    /// # Errors
+    /// [`CatalogError::UnknownColumn`] if absent.
+    pub fn render_snapshot(&self, column: &str) -> Result<Snapshot, CatalogError> {
+        self.registry.render_snapshot(column)
+    }
 }
 
 impl ColumnStore for Catalog {
@@ -152,11 +153,9 @@ impl ColumnStore for Catalog {
     /// callers can register one config against any store.
     fn register(&self, column: &str, config: ColumnConfig) -> Result<(), CatalogError> {
         self.registry.insert(column, || Column {
-            name: column.to_string(),
             spec: config.spec,
             cell: Cell::new(config.spec.build(config.memory, config.seed)),
             stamp: Mutex::new(ColumnStamp::default()),
-            cache: Mutex::new(ComposeCache::default()),
         })
     }
 
@@ -235,15 +234,122 @@ impl fmt::Debug for Catalog {
     }
 }
 
-struct SnapshotInner {
+/// One column's rendered state: everything a [`Snapshot`] serves except
+/// the epoch it is pinned to. Immutable once built, and shared by every
+/// read generation until a publication touches the column again.
+struct ColumnImage {
     column: String,
     label: String,
-    epoch: u64,
     checkpoint: u64,
     updates: u64,
     total: f64,
-    spans: Vec<BucketSpan>,
-    cdf: HistogramCdf,
+    spans: SpanTable,
+}
+
+/// Borders per chunk of a [`SpanTable`]: one cache line of `f64`s.
+const CHUNK: usize = 8;
+
+/// Fence count up to which [`SpanTable::rank`] scans the fences instead
+/// of bisecting them (512 spans; a 1 KB histogram has ~170).
+const SCAN_MAX: usize = 64;
+
+/// A column image's spans, sorted by `lo`, laid out for estimation in
+/// one allocation: a fence per chunk of [`CHUNK`] spans (the chunk's
+/// first left border), every span's left border, then one
+/// `(hi, count, mass below lo)` triple per span.
+///
+/// Most images in a wide store are cold in the CPU caches — no commit
+/// has touched them lately — so an estimate's cost is its chain of
+/// dependent memory reads. A bisection over [`HistogramCdf`]'s spans
+/// waits on one read per level. Here an operand costs three: the fences
+/// (a few contiguous lines, loaded independently), one chunk of borders,
+/// one triple. On a hot image it is as fast as the bisection. Every
+/// estimate returns the bits [`HistogramCdf`] returns for the same spans.
+struct SpanTable {
+    len: usize,
+    words: Box<[f64]>,
+}
+
+impl SpanTable {
+    fn new(cdf: &HistogramCdf) -> Self {
+        let spans = cdf.spans();
+        let len = spans.len();
+        let mut words = Vec::with_capacity(len.div_ceil(CHUNK) + 4 * len);
+        words.extend(spans.iter().step_by(CHUNK).map(|s| s.lo));
+        words.extend(spans.iter().map(|s| s.lo));
+        // Accumulated exactly as `HistogramCdf` does.
+        let mut below = 0.0;
+        for s in spans {
+            words.extend([s.hi, s.count, below]);
+            below += s.count;
+        }
+        Self {
+            len,
+            words: words.into(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn fences(&self) -> &[f64] {
+        &self.words[..self.len.div_ceil(CHUNK)]
+    }
+
+    fn borders(&self) -> &[f64] {
+        &self.words[self.fences().len()..][..self.len]
+    }
+
+    /// Span `i`'s `(hi, count, mass below lo)`.
+    fn triple(&self, i: usize) -> &[f64] {
+        &self.words[self.fences().len() + self.len + 3 * i..][..3]
+    }
+
+    fn span(&self, i: usize) -> BucketSpan {
+        let t = self.triple(i);
+        BucketSpan {
+            lo: self.borders()[i],
+            hi: t[0],
+            count: t[1],
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = BucketSpan> + '_ {
+        (0..self.len).map(|i| self.span(i))
+    }
+
+    /// How many spans start below `x`.
+    fn rank(&self, x: f64) -> usize {
+        let fences = self.fences();
+        // Chunks that start below `x`; every border before the last of
+        // them does too, and every border after it does not.
+        let chunks = if fences.len() > SCAN_MAX {
+            fences.partition_point(|&f| f < x)
+        } else {
+            fences.iter().map(|&f| usize::from(f < x)).sum()
+        };
+        let Some(last) = chunks.checked_sub(1) else {
+            return 0;
+        };
+        let start = CHUNK * last;
+        let chunk = &self.borders()[start..self.len.min(start + CHUNK)];
+        start + chunk.iter().map(|&b| usize::from(b < x)).sum::<usize>()
+    }
+
+    /// [`HistogramCdf::mass_below`].
+    fn mass_below(&self, x: f64) -> f64 {
+        let i = self.rank(x);
+        if i == 0 {
+            return 0.0;
+        }
+        self.triple(i - 1)[2] + self.span(i - 1).mass_below(x)
+    }
+
+    /// [`HistogramCdf::mass_in`].
+    fn mass_in(&self, a: f64, b: f64) -> f64 {
+        (self.mass_below(b) - self.mass_below(a)).max(0.0)
+    }
 }
 
 /// A cheap, immutable view of one column's histogram, pinned to a
@@ -258,19 +364,27 @@ struct SnapshotInner {
 /// ([`CatalogError::EpochEvicted`]).
 ///
 /// Cloning is one `Arc` bump; the snapshot implements [`ReadHistogram`]
-/// (with a precomputed CDF, so estimates don't re-render spans) and can
-/// be fed anywhere a histogram is expected — including `dh_optimizer`'s
-/// join estimators, which is how mixed-algorithm joins run straight off
-/// a catalog.
+/// (with a precomputed span table, so estimates don't re-render spans)
+/// and can be fed anywhere a histogram is expected — including
+/// `dh_optimizer`'s join estimators, which is how mixed-algorithm joins
+/// run straight off a catalog.
 #[derive(Clone)]
 pub struct Snapshot {
-    inner: Arc<SnapshotInner>,
+    image: Arc<ColumnImage>,
+    /// Held by value so a column no commit touched joins a newer
+    /// generation without copying its image.
+    epoch: u64,
+    /// The image's front-cache identity, copied out of it so a cache hit
+    /// reads no image memory.
+    key: ImageKey,
 }
 
 impl Snapshot {
     /// Assembles a snapshot from rendered spans (shared by every
-    /// [`ColumnStore`] implementation).
+    /// [`ColumnStore`] implementation). `key` is the image's front-cache
+    /// identity ([`ImageKey::default`] for images no store renders).
     pub(crate) fn from_parts(
+        key: ImageKey,
         column: String,
         label: String,
         epoch: u64,
@@ -278,46 +392,44 @@ impl Snapshot {
         updates: u64,
         spans: Vec<BucketSpan>,
     ) -> Self {
+        let total = spans.iter().map(|s| s.count).sum();
         Snapshot {
-            inner: Arc::new(SnapshotInner {
+            image: Arc::new(ColumnImage {
                 column,
                 label,
-                epoch,
                 checkpoint,
                 updates,
-                total: spans.iter().map(|s| s.count).sum(),
-                cdf: HistogramCdf::from_spans(spans.clone()),
-                spans,
+                total,
+                spans: SpanTable::new(&HistogramCdf::from_spans(spans)),
             }),
+            epoch,
+            key,
         }
     }
 
-    /// The same rendered spans under a newer epoch/counter stamp — used
-    /// when a version-matched cache hit raced with a commit that left the
-    /// spans identical (an empty batch, or commits to other columns).
-    pub(crate) fn restamped(&self, epoch: u64, checkpoint: u64, updates: u64) -> Snapshot {
+    /// The same image pinned to `epoch` — how a column that no
+    /// publication touched joins a newer read generation.
+    pub(crate) fn with_epoch(&self, epoch: u64) -> Snapshot {
         Snapshot {
-            inner: Arc::new(SnapshotInner {
-                column: self.inner.column.clone(),
-                label: self.inner.label.clone(),
-                epoch,
-                checkpoint,
-                updates,
-                total: self.inner.total,
-                cdf: self.inner.cdf.clone(),
-                spans: self.inner.spans.clone(),
-            }),
+            image: Arc::clone(&self.image),
+            epoch,
+            key: self.key,
         }
+    }
+
+    /// The image's front-cache identity.
+    pub(crate) fn key(&self) -> ImageKey {
+        self.key
     }
 
     /// The column this snapshot was taken from.
     pub fn column(&self) -> &str {
-        &self.inner.column
+        &self.image.column
     }
 
     /// The algorithm label of the owning column (paper legend string).
     pub fn label(&self) -> &str {
-        &self.inner.label
+        &self.image.label
     }
 
     /// The store epoch this snapshot is pinned to: it contains exactly
@@ -325,77 +437,78 @@ impl Snapshot {
     /// only. Snapshots of a [`SnapshotSet`] all
     /// share one epoch.
     pub fn epoch(&self) -> u64 {
-        self.inner.epoch
+        self.epoch
     }
 
     /// The column's accepted-batch count as of the pinned epoch (stamped
     /// under the publication gate, so it counts exactly the batches this
     /// snapshot contains).
     pub fn checkpoint(&self) -> u64 {
-        self.inner.checkpoint
+        self.image.checkpoint
     }
 
     /// The column's accepted-update count as of the pinned epoch.
     pub fn updates(&self) -> u64 {
-        self.inner.updates
+        self.image.updates
     }
 
-    /// Whether two snapshots share the same underlying rendering (used
-    /// by cache tests; clones of one snapshot always do).
+    /// Whether two snapshots share the same underlying image (clones of
+    /// one snapshot always do, and so do the snapshots of a column across
+    /// generations no publication to it separates).
     #[cfg(test)]
     pub(crate) fn same_rendering(&self, other: &Snapshot) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.image, &other.image)
     }
 }
 
 impl fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Snapshot")
-            .field("column", &self.inner.column)
-            .field("label", &self.inner.label)
-            .field("epoch", &self.inner.epoch)
-            .field("checkpoint", &self.inner.checkpoint)
-            .field("buckets", &self.inner.spans.len())
+            .field("column", &self.image.column)
+            .field("label", &self.image.label)
+            .field("epoch", &self.epoch)
+            .field("checkpoint", &self.image.checkpoint)
+            .field("buckets", &self.image.spans.len())
             .finish()
     }
 }
 
 impl ReadHistogram for Snapshot {
     fn spans(&self) -> Vec<BucketSpan> {
-        self.inner.spans.clone()
+        self.image.spans.iter().collect()
     }
 
     fn for_each_span(&self, f: &mut dyn FnMut(&BucketSpan)) {
-        for s in &self.inner.spans {
-            f(s);
+        for s in self.image.spans.iter() {
+            f(&s);
         }
     }
 
     fn total_count(&self) -> f64 {
-        self.inner.total
+        self.image.total
     }
 
     fn num_buckets(&self) -> usize {
-        self.inner.spans.len()
+        self.image.spans.len()
     }
 
     fn cdf(&self) -> HistogramCdf {
-        self.inner.cdf.clone()
+        HistogramCdf::from_spans(self.spans())
     }
 
     fn estimate_less_than(&self, x: f64) -> f64 {
-        self.inner.cdf.mass_below(x)
+        self.image.spans.mass_below(x)
     }
 
     fn estimate_le(&self, v: i64) -> f64 {
-        self.inner.cdf.mass_below(v as f64 + 1.0)
+        self.image.spans.mass_below(v as f64 + 1.0)
     }
 
     fn estimate_range(&self, a: i64, b: i64) -> f64 {
         if a > b {
             return 0.0;
         }
-        self.inner.cdf.mass_in(a as f64, b as f64 + 1.0)
+        self.image.spans.mass_in(a as f64, b as f64 + 1.0)
     }
 }
 
@@ -532,6 +645,96 @@ mod tests {
         }
         // Three applies on three columns: three store epochs.
         assert_eq!(cat.epoch(), 3);
+    }
+
+    /// Sorted, non-overlapping spans with gaps, unit and zero widths,
+    /// fractional borders and empty buckets.
+    fn spans(n: usize, mut seed: u64) -> Vec<BucketSpan> {
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut lo = -50.0;
+        (0..n)
+            .map(|_| {
+                lo += (next() % 3) as f64 * 0.5;
+                let width = [0.0, 1.0, 2.5, 7.0][(next() % 4) as usize];
+                let span = BucketSpan::new(lo, lo + width, (next() % 40) as f64 / 3.0);
+                lo += width;
+                span
+            })
+            .collect()
+    }
+
+    #[test]
+    fn span_table_estimates_match_the_histogram_cdf_bit_for_bit() {
+        // Partial and whole chunks, both sides of `SCAN_MAX` fences, and
+        // the empty table.
+        for n in [
+            0,
+            1,
+            2,
+            7,
+            8,
+            9,
+            170,
+            CHUNK * SCAN_MAX,
+            CHUNK * SCAN_MAX + 1,
+            900,
+        ] {
+            let cdf = HistogramCdf::from_spans(spans(n, 0x9e37_79b9 + n as u64));
+            let table = SpanTable::new(&cdf);
+            assert_eq!(table.len(), n);
+            assert_eq!(table.iter().collect::<Vec<_>>(), cdf.spans());
+            let borders: Vec<f64> = cdf.spans().iter().flat_map(|s| [s.lo, s.hi]).collect();
+            let mut points: Vec<f64> = vec![f64::NEG_INFINITY, -1e9, 1e9, f64::INFINITY];
+            for b in borders {
+                points.extend([b - 0.25, b, b + 0.25]);
+            }
+            for (k, &x) in points.iter().enumerate() {
+                assert_eq!(
+                    table.mass_below(x).to_bits(),
+                    cdf.mass_below(x).to_bits(),
+                    "n {n}, x {x}"
+                );
+                let y = points[(k * 7 + 3) % points.len()];
+                assert_eq!(
+                    table.mass_in(x, y).to_bits(),
+                    cdf.mass_in(x, y).to_bits(),
+                    "n {n}, [{x}, {y})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_spans_and_cdf_round_trip() {
+        // Out of order, but equal borders keep their relative order (a
+        // stable sort restores it).
+        let mut shuffled = spans(40, 7);
+        shuffled.rotate_left(13);
+        let snap = Snapshot::from_parts(
+            ImageKey::default(),
+            "a".into(),
+            "DC".into(),
+            1,
+            1,
+            1,
+            shuffled.clone(),
+        );
+        let cdf = HistogramCdf::from_spans(shuffled);
+        assert_eq!(snap.num_buckets(), 40);
+        assert_eq!(snap.spans(), cdf.spans());
+        assert_eq!(snap.cdf(), cdf);
+        let mut visited = Vec::new();
+        snap.for_each_span(&mut |s| visited.push(*s));
+        assert_eq!(visited, cdf.spans());
+        assert_eq!(
+            snap.estimate_range(-10, 30).to_bits(),
+            cdf.mass_in(-10.0, 31.0).to_bits()
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! `SnapshotSet` subsetting) works unchanged on the result.
 
 use crate::catalog::Snapshot;
+use crate::read::ImageKey;
 use crate::store::SnapshotSet;
 use dh_core::BucketSpan;
 use std::collections::BTreeMap;
@@ -35,6 +36,7 @@ pub fn snapshot_from_spans(
     spans: Vec<BucketSpan>,
 ) -> Snapshot {
     Snapshot::from_parts(
+        ImageKey::default(),
         column.into(),
         label.into(),
         epoch,

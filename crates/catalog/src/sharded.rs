@@ -116,12 +116,11 @@ use crate::catalog::CatalogError;
 use crate::spec::AlgoSpec;
 use crate::store::{ColumnConfig, ColumnStore, SnapshotSet};
 use crate::txn::{
-    compose_at, lock, read_lock, write_lock, BatchTicket, Cell, ColumnStamp, ComposeCache,
-    DirectRestore, Registry, RestoreColumn, StoreColumn, WriteBatch,
+    compose_at, lock, read_lock, write_lock, BatchTicket, Cell, ColumnStamp, DirectRestore,
+    Registry, RestoreColumn, StoreColumn, WriteBatch,
 };
 use crate::Snapshot;
 use dh_core::{BucketSpan, MemoryBudget, UpdateOp};
-use dh_distributed::superimpose;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -793,7 +792,6 @@ struct Generation {
     in_flight: AtomicU64,
     /// `Some` iff the column ingests in [`IngestMode::Channel`].
     workers: Option<Workers>,
-    cache: Mutex<ComposeCache>,
 }
 
 impl Generation {
@@ -834,7 +832,6 @@ impl Generation {
             load,
             in_flight: AtomicU64::new(0),
             workers,
-            cache: Mutex::new(ComposeCache::default()),
         })
     }
 }
@@ -938,10 +935,6 @@ impl StoreColumn for ShardedColumn {
     /// touched there.
     type Staged = StagedShards;
 
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn stage_ops(&self, ticket: &Arc<BatchTicket>, ops: Vec<UpdateOp>) -> StagedShards {
         let generation = read_lock(&self.generation);
         let (lo, hi) = generation.map.domain();
@@ -1007,20 +1000,12 @@ impl StoreColumn for ShardedColumn {
         }
     }
 
-    fn render_at(&self, epoch: u64, stamp: ColumnStamp) -> Result<Snapshot, u64> {
+    fn render_at(&self, epoch: u64) -> Result<(String, Vec<BucketSpan>), u64> {
         let generation = self.generation();
-        let cells: Vec<&Cell> = generation.cells.iter().map(Arc::as_ref).collect();
-        compose_at(
-            &cells,
-            epoch,
-            &generation.cache,
-            &self.name,
-            // The *live* algorithm: after a migration, snapshots label
-            // themselves with what actually built them.
-            generation.spec.label(),
-            stamp.accepted,
-            stamp.updates,
-        )
+        let spans = compose_at(generation.cells.iter().map(Arc::as_ref), epoch)?;
+        // The *live* algorithm: after a migration, snapshots label
+        // themselves with what actually built them.
+        Ok((generation.spec.label(), spans))
     }
 
     /// Routes `ops` through the live shard map exactly like a staged
@@ -1309,6 +1294,20 @@ impl ShardedCatalog {
         Ok(self.registry.get(column)?.generation().map.clone())
     }
 
+    /// `column` rendered afresh from its histogram state at the current
+    /// published epoch, through the pinned-render protocol, bypassing
+    /// the read front and its cache — the reference a front snapshot can
+    /// be checked against (the two must agree bit for bit at one
+    /// epoch). Pays a full render per call, so serve reads through
+    /// [`ColumnStore::snapshot`]; not counted in
+    /// [`ColumnStore::read_stats`].
+    ///
+    /// # Errors
+    /// [`CatalogError::UnknownColumn`] if absent.
+    pub fn render_snapshot(&self, column: &str) -> Result<Snapshot, CatalogError> {
+        self.registry.render_snapshot(column)
+    }
+
     /// How many times the column's borders have been rebuilt.
     ///
     /// # Errors
@@ -1418,12 +1417,12 @@ impl ShardedCatalog {
         let moved = self.do_rebuild_inner(col, plan, forced);
         if moved {
             // A rebuild replaces the column's cells *without* publishing
-            // an epoch, so the front generation (and its predicate cache)
-            // must be force-re-rendered at the same epoch — a reader must
-            // never keep being served off the pre-rebuild rendering
-            // once the routing has swapped. Runs after every routing and
-            // rebuild lock is released.
-            self.registry.refresh_front(true);
+            // an epoch, so the column's front image must be re-rendered
+            // at the same epoch — a reader must never keep being served
+            // off the pre-rebuild rendering once the routing has
+            // swapped. Runs after every routing and rebuild lock is
+            // released.
+            self.registry.refresh_column(&col.name);
         }
         moved
     }
@@ -1465,19 +1464,8 @@ impl ShardedCatalog {
             let mut slot = col.quiesce();
             let epoch = self.registry.epoch();
             meta.last_epoch = epoch;
-            let mut parts = Vec::with_capacity(slot.cells.len());
-            for cell in &slot.cells {
-                cell.drain_to(epoch);
-                let (_, spans) = cell
-                    .spans_at(epoch)
-                    .expect("no commit on this column can pass a held rebuild barrier");
-                parts.push(spans);
-            }
-            let composed = if parts.len() == 1 {
-                parts.pop().expect("one part")
-            } else {
-                superimpose(&parts)
-            };
+            let composed = compose_at(slot.cells.iter().map(Arc::as_ref), epoch)
+                .expect("no commit on this column can pass a held rebuild barrier");
             // Resolve the plan's deltas against the *live* shape at the
             // barrier — the same resolution a replayed rebuild record
             // performs, against the same state, so recovery reproduces

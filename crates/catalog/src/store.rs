@@ -339,8 +339,8 @@ pub trait ColumnStore: Send + Sync {
     ///
     /// On both built-in stores this is the wait-free hot path: it reads
     /// the current front generation (one atomic pointer chase, no lock,
-    /// no retry) and memoizes the answer in that generation's predicate
-    /// cache — see `docs/READ_PATH.md`.
+    /// no retry) and memoizes the answer in the store's predicate cache
+    /// under the column image's key — see `docs/READ_PATH.md`.
     ///
     /// **Single-call consistency only**: every call pins its own fresh
     /// snapshot, so two convenience estimates in one expression may
@@ -408,7 +408,7 @@ pub trait ColumnStore: Send + Sync {
 pub struct SnapshotSet {
     epoch: u64,
     snaps: BTreeMap<String, Snapshot>,
-    /// The owning generation's predicate front cache, when this set was
+    /// The owning store's predicate front cache, when this set was
     /// served off the wait-free front (see `docs/READ_PATH.md`). Slow
     /// pinned renders carry no cache and compute every estimate.
     cache: Option<Arc<FrontCache>>,
@@ -423,8 +423,8 @@ impl SnapshotSet {
         }
     }
 
-    /// A set wired to its generation's front cache: estimate probes
-    /// memoize through it (and are answered from it).
+    /// A set wired to its store's front cache: estimate probes memoize
+    /// through it (and are answered from it).
     pub(crate) fn with_cache(
         epoch: u64,
         snaps: BTreeMap<String, Snapshot>,
@@ -471,7 +471,7 @@ impl SnapshotSet {
     /// set's pinned epoch. Unlike the [`ColumnStore`] convenience
     /// methods, any number of reads off one set are mutually consistent
     /// — they can never straddle an epoch. Sets served off the wait-free
-    /// front memoize the answer in their generation's predicate cache
+    /// front memoize the answer in their store's predicate cache
     /// (bit-identical to the uncached computation; the cache stores
     /// exactly the `f64` the first computation produced).
     ///
@@ -504,12 +504,10 @@ impl SnapshotSet {
 
     pub(crate) fn estimate(&self, column: &str, kind: CacheKind) -> Result<f64, CatalogError> {
         let snap = self.pinned(column)?;
-        if let Some(cache) = &self.cache {
-            if let Some(value) = cache.probe(column, kind, snap) {
-                return Ok(value);
-            }
-        }
-        Ok(kind.compute_on(snap))
+        Ok(match &self.cache {
+            Some(cache) => cache.probe(kind, snap),
+            None => kind.compute_on(snap),
+        })
     }
 
     fn pinned(&self, column: &str) -> Result<&Snapshot, CatalogError> {

@@ -26,7 +26,9 @@
 //! batches only, never a torn one.
 
 use crate::catalog::{CatalogError, Snapshot};
-use crate::read::{CacheKind, LeftRightCell, ReadCounters, ReadGeneration, ReadStats};
+use crate::read::{
+    CacheKind, FrontCache, ImageKey, LeftRightCell, ReadCounters, ReadGeneration, ReadStats,
+};
 use crate::store::SnapshotSet;
 use dh_core::{BoxedHistogram, BucketSpan, UpdateOp};
 use dh_distributed::superimpose;
@@ -232,9 +234,6 @@ pub(crate) trait StoreColumn {
     /// [`StoreColumn::settle`] (e.g. which shards a batch touched).
     type Staged;
 
-    /// The column's registered name.
-    fn name(&self) -> &str;
-
     /// Phase 1: queue `ops` under `ticket`, invisible until published.
     fn stage_ops(&self, ticket: &Arc<BatchTicket>, ops: Vec<UpdateOp>) -> Self::Staged;
 
@@ -244,9 +243,9 @@ pub(crate) trait StoreColumn {
     /// Phase 3: apply (or delegate applying) the published entries.
     fn settle(&self, staged: &Self::Staged, epoch: u64);
 
-    /// Renders the column at exactly `epoch`, stamping the snapshot from
-    /// the already-validated `stamp` (retry token on `Err`).
-    fn render_at(&self, epoch: u64, stamp: ColumnStamp) -> Result<Snapshot, u64>;
+    /// Renders the column's `(algorithm label, composed spans)` at
+    /// exactly `epoch` (retry token on `Err`, see [`compose_at`]).
+    fn render_at(&self, epoch: u64) -> Result<(String, Vec<BucketSpan>), u64>;
 
     /// Restore path: applies `ops` straight into the column's cells with
     /// the content marked as-of `epoch`, bypassing the stage/publish
@@ -285,13 +284,40 @@ pub(crate) trait DirectRestore {
 /// stores only supply column construction, per-column
 /// staging/settling/rendering (via [`StoreColumn`]).
 pub(crate) struct Registry<T> {
-    columns: RwLock<BTreeMap<String, Arc<T>>>,
+    columns: RwLock<BTreeMap<Arc<str>, Registered<T>>>,
     clock: EpochClock,
-    /// The wait-free read front: the latest rendered whole-store
-    /// generation, swapped (never mutated) by writers. See
+    /// The wait-free read front: one image per column, re-rendered per
+    /// column and swapped (never mutated) by writers. See
     /// `docs/READ_PATH.md` and [`crate::read`].
     front: LeftRightCell<ReadGeneration>,
+    /// Columns published since the last front install: appended under
+    /// the publication gate by every publication, drained by
+    /// [`Registry::refresh_front`] under the front's writer lock.
+    dirty: Mutex<Vec<Registered<T>>>,
+    /// The predicate memo, shared by every generation for the store's
+    /// whole life; keyed by image, so it needs no invalidation.
+    cache: Arc<FrontCache>,
     counters: Arc<ReadCounters>,
+    next_id: AtomicU64,
+    /// Last image serial handed out (see [`ImageKey`]).
+    serials: AtomicU64,
+}
+
+/// A registered column with its name and its stable front-cache id.
+struct Registered<T> {
+    id: u64,
+    name: Arc<str>,
+    column: Arc<T>,
+}
+
+impl<T> Clone for Registered<T> {
+    fn clone(&self) -> Self {
+        Self {
+            id: self.id,
+            name: Arc::clone(&self.name),
+            column: Arc::clone(&self.column),
+        }
+    }
 }
 
 impl<T> Default for Registry<T> {
@@ -300,8 +326,12 @@ impl<T> Default for Registry<T> {
         Self {
             columns: RwLock::new(BTreeMap::new()),
             clock: EpochClock::default(),
-            front: LeftRightCell::new(Arc::new(ReadGeneration::empty(counters.clone()))),
+            front: LeftRightCell::new(Arc::new(ReadGeneration::default())),
+            dirty: Mutex::new(Vec::new()),
+            cache: Arc::new(FrontCache::new(counters.clone())),
             counters,
+            next_id: AtomicU64::new(0),
+            serials: AtomicU64::new(0),
         }
     }
 }
@@ -310,30 +340,43 @@ impl<T: StoreColumn> Registry<T> {
     /// Registers a column under `name`, building it with `build` only
     /// if the name is free.
     pub(crate) fn insert(&self, name: &str, build: impl FnOnce() -> T) -> Result<(), CatalogError> {
-        {
+        let entry = {
             let mut columns = write_lock(&self.columns);
             if columns.contains_key(name) {
                 return Err(CatalogError::DuplicateColumn(name.into()));
             }
-            columns.insert(name.to_string(), Arc::new(build()));
-        }
+            let entry = Registered {
+                id: self.next_id.fetch_add(1, Ordering::Relaxed),
+                name: name.into(),
+                column: Arc::new(build()),
+            };
+            columns.insert(Arc::clone(&entry.name), entry.clone());
+            entry
+        };
         // Fold the new (empty) column into the front so its reads are
         // wait-free from the first snapshot on.
-        self.refresh_front(false);
+        self.refresh_front(vec![entry]);
         Ok(())
     }
 
-    /// The column registered under `name`.
-    pub(crate) fn get(&self, name: &str) -> Result<Arc<T>, CatalogError> {
+    fn entry(&self, name: &str) -> Result<Registered<T>, CatalogError> {
         read_lock(&self.columns)
             .get(name)
             .cloned()
             .ok_or_else(|| CatalogError::UnknownColumn(name.into()))
     }
 
+    /// The column registered under `name`.
+    pub(crate) fn get(&self, name: &str) -> Result<Arc<T>, CatalogError> {
+        Ok(self.entry(name)?.column)
+    }
+
     /// The registered column names, sorted.
     pub(crate) fn names(&self) -> Vec<String> {
-        read_lock(&self.columns).keys().cloned().collect()
+        read_lock(&self.columns)
+            .keys()
+            .map(|name| name.to_string())
+            .collect()
     }
 
     /// Whether `name` is registered.
@@ -353,8 +396,9 @@ impl<T: StoreColumn> Registry<T> {
 
     /// Commits one multi-column batch: resolve every column first (an
     /// unknown name must not leave the others half-committed), stage
-    /// everything, publish once (stamping every touched column under
-    /// the gate), settle everything. Returns the published epoch.
+    /// everything, publish once (stamping every touched column and
+    /// marking its front image dirty under the gate), settle
+    /// everything. Returns the published epoch.
     ///
     /// Publication happens strictly after all staging — the invariant
     /// the whole read side relies on (a published entry is always
@@ -362,25 +406,27 @@ impl<T: StoreColumn> Registry<T> {
     pub(crate) fn commit(&self, batch: WriteBatch) -> Result<u64, CatalogError> {
         let mut resolved = Vec::new();
         for (name, ops) in batch.into_parts() {
-            resolved.push((self.get(&name)?, ops));
+            resolved.push((self.entry(&name)?, ops));
         }
         let ticket = BatchTicket::new();
         let mut staged = Vec::with_capacity(resolved.len());
-        for (column, ops) in resolved {
+        for (entry, ops) in resolved {
             let n = ops.len() as u64;
-            let token = column.stage_ops(&ticket, ops);
-            staged.push((column, token, n));
+            let token = entry.column.stage_ops(&ticket, ops);
+            staged.push((entry, token, n));
         }
         let epoch = self.clock.publish(&ticket, |e| {
-            for (column, _, n) in &staged {
-                let mut stamp = lock(column.stamp());
+            let mut dirty = lock(&self.dirty);
+            for (entry, _, n) in &staged {
+                let mut stamp = lock(entry.column.stamp());
                 stamp.epoch = e;
                 stamp.accepted += 1;
                 stamp.updates += *n;
+                dirty.push(entry.clone());
             }
         });
-        for (column, token, _) in &staged {
-            column.settle(token, epoch);
+        for (entry, token, _) in &staged {
+            entry.column.settle(token, epoch);
         }
         // Release staging tokens (e.g. shard in-flight counts) before the
         // front render, so a concurrent re-shard barrier never waits on a
@@ -389,7 +435,7 @@ impl<T: StoreColumn> Registry<T> {
         // Publish the read front *before* returning: the committing
         // thread's own batch is visible to its subsequent hot-path reads
         // (read-your-writes), and readers never render for themselves.
-        self.refresh_front(false);
+        self.refresh_front(Vec::new());
         Ok(epoch)
     }
 
@@ -397,31 +443,34 @@ impl<T: StoreColumn> Registry<T> {
     /// checkpoint (accepted-batch count) — the
     /// [`crate::ColumnStore::apply`] shape of [`Registry::commit`].
     pub(crate) fn apply(&self, name: &str, ops: &[UpdateOp]) -> Result<u64, CatalogError> {
-        let column = self.get(name)?;
+        let entry = self.entry(name)?;
         let ticket = BatchTicket::new();
-        let token = column.stage_ops(&ticket, ops.to_vec());
+        let token = entry.column.stage_ops(&ticket, ops.to_vec());
         let mut checkpoint = 0;
         let epoch = self.clock.publish(&ticket, |e| {
-            let mut stamp = lock(column.stamp());
+            let mut dirty = lock(&self.dirty);
+            let mut stamp = lock(entry.column.stamp());
             stamp.epoch = e;
             stamp.accepted += 1;
             stamp.updates += ops.len() as u64;
             checkpoint = stamp.accepted;
+            dirty.push(entry.clone());
         });
-        column.settle(&token, epoch);
+        entry.column.settle(&token, epoch);
         drop(token);
-        self.refresh_front(false);
+        self.refresh_front(Vec::new());
         Ok(checkpoint)
     }
 
     /// One pinned render attempt: read the column's stamp under the
     /// publication gate — so a multi-column commit can never be
     /// observed halfway through stamping its columns — then render at
-    /// exactly `epoch` with those as-of-`epoch` counters. With
-    /// `gate_held` the caller already owns the gate (the starvation
-    /// fallback of [`Registry::render_pinned`]; `Mutex` is not
-    /// reentrant).
-    fn attempt(&self, column: &T, epoch: u64, gate_held: bool) -> Result<Snapshot, u64> {
+    /// exactly `epoch` with those as-of-`epoch` counters, as a fresh
+    /// image with its own serial. With `gate_held` the caller already
+    /// owns the gate (the starvation fallback of
+    /// [`Registry::render_pinned`]; `Mutex` is not reentrant).
+    fn attempt(&self, entry: &Registered<T>, epoch: u64, gate_held: bool) -> Result<Snapshot, u64> {
+        let column = &entry.column;
         let stamp = if gate_held {
             *lock(column.stamp())
         } else {
@@ -430,7 +479,20 @@ impl<T: StoreColumn> Registry<T> {
         if stamp.epoch > epoch {
             return Err(stamp.epoch);
         }
-        column.render_at(epoch, stamp)
+        let (label, spans) = column.render_at(epoch)?;
+        let key = ImageKey {
+            id: entry.id,
+            serial: self.serials.fetch_add(1, Ordering::Relaxed) + 1,
+        };
+        Ok(Snapshot::from_parts(
+            key,
+            entry.name.to_string(),
+            label,
+            epoch,
+            stamp.accepted,
+            stamp.updates,
+            spans,
+        ))
     }
 
     /// Retries `attempt` at increasing pinned epochs until it sticks.
@@ -463,6 +525,13 @@ impl<T: StoreColumn> Registry<T> {
         })
     }
 
+    /// `name` rendered afresh from its cells at the current published
+    /// epoch, bypassing the read front (not counted in [`ReadStats`]).
+    pub(crate) fn render_snapshot(&self, name: &str) -> Result<Snapshot, CatalogError> {
+        let entry = self.entry(name)?;
+        Ok(self.render_pinned(|epoch, gate_held| self.attempt(&entry, epoch, gate_held)))
+    }
+
     /// An epoch-pinned snapshot of `name`.
     ///
     /// Hot path: served off the front generation — one wait-free load
@@ -476,9 +545,9 @@ impl<T: StoreColumn> Registry<T> {
             self.counters.count_fast();
             return Ok(snap.clone());
         }
-        let column = self.get(name)?;
+        let snap = self.render_snapshot(name)?;
         self.counters.count_slow();
-        Ok(self.render_pinned(|epoch, gate_held| self.attempt(&column, epoch, gate_held)))
+        Ok(snap)
     }
 
     /// A [`SnapshotSet`]: every requested column rendered at one epoch.
@@ -488,31 +557,35 @@ impl<T: StoreColumn> Registry<T> {
     /// in [`Registry::snapshot`].
     pub(crate) fn snapshot_set(&self, names: &[&str]) -> Result<SnapshotSet, CatalogError> {
         let front = self.front.load();
-        if let Some(set) = front.subset(names) {
+        if let Some(snaps) = front.subset(names) {
             self.counters.count_fast();
-            return Ok(set);
+            return Ok(SnapshotSet::with_cache(
+                front.epoch(),
+                snaps,
+                Arc::clone(&self.cache),
+            ));
         }
-        let columns: Vec<Arc<T>> = names
+        let entries: Vec<Registered<T>> = names
             .iter()
-            .map(|name| self.get(name))
+            .map(|name| self.entry(name))
             .collect::<Result<_, _>>()?;
         self.counters.count_slow();
         Ok(self.render_pinned(|epoch, gate_held| {
             let mut snaps = BTreeMap::new();
-            for column in &columns {
+            for entry in &entries {
                 snaps.insert(
-                    column.name().to_string(),
-                    self.attempt(column, epoch, gate_held)?,
+                    entry.name.to_string(),
+                    self.attempt(entry, epoch, gate_held)?,
                 );
             }
             Ok(SnapshotSet::new(epoch, snaps))
         }))
     }
 
-    /// Estimated `[a, b]` mass on `name`, answered from the front
-    /// generation's predicate cache (wait-free; computes and memoizes on
-    /// a cache miss). Slow pinned fallback only when the front does not
-    /// cover the column.
+    /// Estimated `[a, b]` mass on `name`, answered from the store's
+    /// predicate cache off the front image (wait-free; computes and
+    /// memoizes on a cache miss). Slow pinned fallback only when the
+    /// front does not cover the column.
     pub(crate) fn estimate_range(&self, name: &str, a: i64, b: i64) -> Result<f64, CatalogError> {
         self.estimate(name, CacheKind::Range(a, b))
     }
@@ -530,13 +603,12 @@ impl<T: StoreColumn> Registry<T> {
 
     fn estimate(&self, name: &str, kind: CacheKind) -> Result<f64, CatalogError> {
         let front = self.front.load();
-        if let Ok(value) = front.set().estimate(name, kind) {
+        if let Some(snap) = front.snap(name) {
             self.counters.count_fast();
-            return Ok(value);
+            return Ok(self.cache.probe(kind, snap));
         }
-        let column = self.get(name)?;
+        let snap = self.render_snapshot(name)?;
         self.counters.count_slow();
-        let snap = self.render_pinned(|epoch, gate_held| self.attempt(&column, epoch, gate_held));
         Ok(kind.compute_on(&snap))
     }
 
@@ -548,10 +620,10 @@ impl<T: StoreColumn> Registry<T> {
     /// Seeds the store to a checkpoint in O(checkpoint size), not
     /// O(historical epochs): every image's counters are written into its
     /// column stamp verbatim, its synthesized ops applied straight into
-    /// the cells, the epoch clock jumped to `epoch`, and the read front
-    /// re-rendered once. Caller contract: the store is freshly built and
-    /// exclusively owned (recovery), all named columns are registered,
-    /// and no commit has been published yet.
+    /// the cells, the epoch clock jumped to `epoch`, and every column's
+    /// front image re-rendered. Caller contract: the store is freshly
+    /// built and exclusively owned (recovery), all named columns are
+    /// registered, and no commit has been published yet.
     ///
     /// Observable state matches what replaying the history would leave:
     /// a column with accepted batches stamps `epoch` (its last
@@ -576,42 +648,55 @@ impl<T: StoreColumn> Registry<T> {
             column.restore_content(epoch, image.ops);
         }
         self.clock.restore(epoch);
-        self.refresh_front(false);
+        let all = read_lock(&self.columns).values().cloned().collect();
+        self.refresh_front(all);
         Ok(())
     }
 
-    /// Renders the whole store at the current published epoch and
-    /// installs it as the new front generation if it is newer than (or,
-    /// with `force`, at least as new as) the incumbent — `force` is for
-    /// re-shards, which rebuild a column's cells *without* publishing an
-    /// epoch. Called by every commit, registration and re-shard; never
-    /// by readers. Rejected candidates (a concurrent writer installed a
-    /// newer generation first) are simply dropped — the incumbent then
-    /// already covers this writer's epoch.
-    pub(crate) fn refresh_front(&self, force: bool) {
-        let columns: Vec<Arc<T>> = read_lock(&self.columns).values().cloned().collect();
-        let generation = self.render_pinned(|epoch, gate_held| {
-            let mut snaps = BTreeMap::new();
-            for column in &columns {
-                snaps.insert(
-                    column.name().to_string(),
-                    self.attempt(column, epoch, gate_held)?,
-                );
-            }
-            Ok(ReadGeneration::new(epoch, snaps, self.counters.clone()))
-        });
-        let installed = self
-            .front
-            .store_if(Arc::new(generation), |current, candidate| {
-                candidate.epoch() > current.epoch()
-                    || (candidate.epoch() == current.epoch()
-                        && (force || candidate.len() > current.len()))
-            });
-        if installed {
-            // Each install discards the previous generation's whole
-            // predicate memo — the only invalidation rule there is.
-            self.counters.count_invalidation();
+    /// Re-renders `name`'s front image at the current epoch — for a
+    /// rebuild, which replaces a column's cells *without* publishing an
+    /// epoch, so no publication marks the column dirty.
+    pub(crate) fn refresh_column(&self, name: &str) {
+        if let Ok(entry) = self.entry(name) {
+            self.refresh_front(vec![entry]);
         }
+    }
+
+    /// Installs a new front generation that re-renders only the columns
+    /// whose image is out of date — `extra` plus every column published
+    /// since the last install — and shares every other column's image
+    /// with its predecessor. Called by every commit, registration,
+    /// restore and rebuild; never by readers.
+    ///
+    /// The dirty list is drained under the front's writer lock and only
+    /// *after* the render epoch is read, so it holds every publication
+    /// at or before that epoch not yet folded in; a drained column
+    /// published *past* the epoch fails its stamp check and moves the
+    /// whole render to a later epoch (re-draining). Two committers
+    /// racing here therefore never lose each other's image: whoever
+    /// holds the lock renders both, and the other finds nothing left to
+    /// do (its epoch is already covered).
+    fn refresh_front(&self, extra: Vec<Registered<T>>) {
+        self.front.update(|base| {
+            let mut pending = extra;
+            let (epoch, images) = self.render_pinned(|epoch, gate_held| {
+                pending.append(&mut lock(&self.dirty));
+                pending.sort_unstable_by_key(|entry| entry.id);
+                pending.dedup_by_key(|entry| entry.id);
+                let mut images = Vec::with_capacity(pending.len());
+                for entry in &pending {
+                    let snap = self.attempt(entry, epoch, gate_held)?;
+                    images.push((Arc::clone(&entry.name), snap));
+                }
+                Ok((epoch, images))
+            });
+            if images.is_empty() && epoch == base.epoch() {
+                return None;
+            }
+            let (next, replaced) = base.successor(epoch, images);
+            self.counters.count_invalidations(replaced);
+            Some(Arc::new(next))
+        });
     }
 }
 
@@ -626,8 +711,6 @@ struct CellState {
     histogram: BoxedHistogram,
     /// Highest epoch whose entries have been applied to the histogram.
     applied: u64,
-    /// Bumps on every drain that applied entries; keys span caches.
-    version: u64,
     /// Cached span rendering, invalidated by every application.
     spans: Option<Vec<BucketSpan>>,
     /// Scratch buffer for span rendering (allocation reuse).
@@ -660,7 +743,6 @@ impl Cell {
             state: RwLock::new(CellState {
                 histogram,
                 applied,
-                version: 0,
                 spans: None,
                 scratch: Vec::new(),
             }),
@@ -730,7 +812,6 @@ impl Cell {
             state.histogram.apply_slice(&ops);
             state.applied = state.applied.max(e);
         }
-        state.version += 1;
         state.spans = None;
         Ok(())
     }
@@ -748,14 +829,13 @@ impl Cell {
         let mut state = write_lock(&self.state);
         state.histogram.apply_slice(ops);
         state.applied = state.applied.max(epoch);
-        state.version += 1;
         state.spans = None;
     }
 
-    /// The cell's `(version, spans)` at *exactly* epoch `epoch`: drains
-    /// published entries up to it, then renders (cached). Fails with the
-    /// applied epoch when the content is already past `epoch`.
-    pub(crate) fn spans_at(&self, epoch: u64) -> Result<(u64, Vec<BucketSpan>), u64> {
+    /// The cell's spans at *exactly* epoch `epoch`: drains published
+    /// entries up to it, then renders (cached). Fails with the applied
+    /// epoch when the content is already past `epoch`.
+    pub(crate) fn spans_at(&self, epoch: u64) -> Result<Vec<BucketSpan>, u64> {
         {
             let state = read_lock(&self.state);
             if state.applied > epoch {
@@ -765,7 +845,7 @@ impl Cell {
                 // Valid for `epoch` iff nothing published ≤ epoch is
                 // still pending (content can only change via entries).
                 if !self.has_ready(epoch) {
-                    return Ok((state.version, spans.clone()));
+                    return Ok(spans.clone());
                 }
             }
         }
@@ -779,86 +859,28 @@ impl Cell {
             let spans = scratch.clone();
             state.spans = Some(spans);
         }
-        Ok((
-            state.version,
-            state.spans.clone().expect("rendered just above"),
-        ))
+        Ok(state.spans.clone().expect("rendered just above"))
     }
 }
 
-/// A column's composed-snapshot cache: the last rendered snapshot, the
-/// epoch it was pinned to, and the cell versions it was rendered from.
-#[derive(Default)]
-pub(crate) struct ComposeCache {
+/// Composes one column's cells (superimposed) at *exactly* `epoch`.
+/// Fails with the applied epoch when a cell is already past `epoch`
+/// (retry via [`Registry::render_pinned`]).
+pub(crate) fn compose_at<'a>(
+    cells: impl IntoIterator<Item = &'a Cell>,
     epoch: u64,
-    versions: Vec<u64>,
-    snap: Option<Snapshot>,
-}
-
-/// Renders one column (its cells superimposed) at *exactly* `epoch`,
-/// against the column's compose cache. Fails with the applied epoch when
-/// a cell is already past `epoch` (retry via [`pinned`]).
-///
-/// Cache discipline: an exact epoch match is one `Arc` clone; matching
-/// cell versions under a different epoch mean the spans are identical and
-/// only the stamps moved (e.g. an empty batch, or commits to other
-/// columns), so the cached rendering is re-stamped instead of rebuilt.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compose_at(
-    cells: &[&Cell],
-    epoch: u64,
-    cache: &Mutex<ComposeCache>,
-    column: &str,
-    label: String,
-    checkpoint: u64,
-    updates: u64,
-) -> Result<Snapshot, u64> {
-    {
-        let cached = lock(cache);
-        if cached.epoch == epoch {
-            if let Some(snap) = &cached.snap {
-                return Ok(snap.clone());
-            }
-        }
-    }
-    let mut versions = Vec::with_capacity(cells.len());
-    let mut parts = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let (version, spans) = cell.spans_at(epoch)?;
-        versions.push(version);
-        parts.push(spans);
-    }
-    let mut cached = lock(cache);
-    if let Some(snap) = &cached.snap {
-        if cached.epoch == epoch {
-            return Ok(snap.clone());
-        }
-        if cached.versions == versions {
-            let snap = snap.restamped(epoch, checkpoint, updates);
-            // Never move the cache backwards for an old pinned read.
-            if epoch > cached.epoch {
-                cached.epoch = epoch;
-                cached.snap = Some(snap.clone());
-            }
-            return Ok(snap);
-        }
-    }
+) -> Result<Vec<BucketSpan>, u64> {
+    let mut parts = cells
+        .into_iter()
+        .map(|cell| cell.spans_at(epoch))
+        .collect::<Result<Vec<_>, _>>()?;
     // A single cell's spans pass through unchanged (bit-identical to the
     // unsharded render); several cells superimpose losslessly.
-    let spans = if parts.len() == 1 {
+    Ok(if parts.len() == 1 {
         parts.pop().expect("one part")
     } else {
         superimpose(&parts)
-    };
-    let snap = Snapshot::from_parts(column.to_string(), label, epoch, checkpoint, updates, spans);
-    if epoch > cached.epoch || cached.snap.is_none() {
-        *cached = ComposeCache {
-            epoch,
-            versions,
-            snap: Some(snap.clone()),
-        };
-    }
-    Ok(snap)
+    })
 }
 
 /// Poison-tolerant mutex lock (shared across the serving layer).
@@ -879,8 +901,142 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AlgoSpec;
+    use crate::{AlgoSpec, Catalog, ColumnConfig, ColumnStore, ShardPlan, ShardedCatalog};
     use dh_core::MemoryBudget;
+    use std::collections::BTreeSet;
+
+    const FRONT_COLUMNS: usize = 64;
+
+    fn register_front_columns(store: &dyn ColumnStore) -> Vec<String> {
+        let plan = ShardPlan::new(0, 999, 8).unwrap();
+        let specs = [AlgoSpec::Dc, AlgoSpec::Dvo, AlgoSpec::Dado];
+        (0..FRONT_COLUMNS)
+            .map(|c| {
+                let name = format!("c{c:02}");
+                let config = ColumnConfig::new(specs[c % 3], MemoryBudget::from_kb(1.0))
+                    .with_seed(c as u64)
+                    .with_plan(plan);
+                store.register(&name, config).unwrap();
+                store
+                    .apply(
+                        &name,
+                        &(0..200)
+                            .map(|i| UpdateOp::Insert((i * 7 + c as i64) % 1000))
+                            .collect::<Vec<_>>(),
+                    )
+                    .unwrap();
+                name
+            })
+            .collect()
+    }
+
+    /// One range probe per column, chosen so no two land in the same
+    /// cache slot (so none can evict another).
+    fn disjoint_probes(store: &dyn ColumnStore, names: &[String]) -> Vec<CacheKind> {
+        let mut used = BTreeSet::new();
+        names
+            .iter()
+            .map(|name| {
+                let snap = store.snapshot(name).unwrap();
+                (0..)
+                    .map(|hi| CacheKind::Range(0, hi))
+                    .find(|&kind| used.insert(FrontCache::slot_for(kind, &snap)))
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn probe(store: &dyn ColumnStore, name: &str, kind: CacheKind) {
+        let CacheKind::Range(a, b) = kind else {
+            unreachable!("disjoint probes are ranges")
+        };
+        store.estimate_range(name, a, b).unwrap();
+    }
+
+    /// The per-column front contract, with exact counts: a commit
+    /// re-renders exactly the columns it touched, every other column
+    /// keeps its image and its cached estimates, and the invalidation
+    /// counter moves by the number of touched columns.
+    fn check_commits_rerender_only_touched_columns(store: &dyn ColumnStore) {
+        let names = register_front_columns(store);
+        let probes = disjoint_probes(store, &names);
+        for (name, &kind) in names.iter().zip(&probes) {
+            probe(store, name, kind);
+        }
+        for touched in [vec![17], vec![3, 40, 63]] {
+            let before: Vec<Snapshot> = names.iter().map(|n| store.snapshot(n).unwrap()).collect();
+            let stats = store.read_stats();
+            let mut batch = WriteBatch::new();
+            for &c in &touched {
+                batch.extend(&names[c], (0..64).map(UpdateOp::Insert));
+            }
+            let epoch = store.commit(batch).unwrap();
+            let after = store.read_stats();
+            assert_eq!(
+                after.cache_invalidations - stats.cache_invalidations,
+                touched.len() as u64,
+                "one invalidation per touched column"
+            );
+            for (c, (name, old)) in names.iter().zip(&before).enumerate() {
+                let now = store.snapshot(name).unwrap();
+                assert_eq!(
+                    now.epoch(),
+                    epoch,
+                    "{name}: every image joins the new epoch"
+                );
+                assert_eq!(
+                    now.same_rendering(old),
+                    !touched.contains(&c),
+                    "{name}: re-rendered iff touched"
+                );
+            }
+            let stats = store.read_stats();
+            for (c, (name, &kind)) in names.iter().zip(&probes).enumerate() {
+                if !touched.contains(&c) {
+                    probe(store, name, kind);
+                }
+            }
+            let after = store.read_stats();
+            let untouched = (FRONT_COLUMNS - touched.len()) as u64;
+            assert_eq!(after.cache_hits - stats.cache_hits, untouched);
+            assert_eq!(after.cache_misses, stats.cache_misses);
+            // Refill the touched columns' probes against their new images.
+            for &c in &touched {
+                probe(store, &names[c], probes[c]);
+            }
+        }
+        assert_eq!(store.read_stats().slow_renders, 0);
+    }
+
+    #[test]
+    fn catalog_commit_rerenders_only_touched_columns() {
+        check_commits_rerender_only_touched_columns(&Catalog::new());
+    }
+
+    #[test]
+    fn sharded_commit_rerenders_only_touched_columns() {
+        check_commits_rerender_only_touched_columns(&ShardedCatalog::new());
+    }
+
+    #[test]
+    fn rebuild_rerenders_only_the_rebuilt_column() {
+        let store = ShardedCatalog::new();
+        let names = register_front_columns(&store);
+        let skew: Vec<UpdateOp> = (0..2000).map(|i| UpdateOp::Insert(i % 50)).collect();
+        store.apply(&names[5], &skew).unwrap();
+        let before: Vec<Snapshot> = names.iter().map(|n| store.snapshot(n).unwrap()).collect();
+        let stats = store.read_stats();
+        assert!(store.reshard(&names[5]).unwrap(), "skewed borders moved");
+        assert_eq!(
+            store.read_stats().cache_invalidations - stats.cache_invalidations,
+            1
+        );
+        for (c, (name, old)) in names.iter().zip(&before).enumerate() {
+            let now = store.snapshot(name).unwrap();
+            assert_eq!(now.epoch(), old.epoch(), "a rebuild publishes no epoch");
+            assert_eq!(now.same_rendering(old), c != 5, "{name}");
+        }
+    }
 
     #[test]
     fn write_batch_builder_groups_by_column() {
@@ -908,12 +1064,12 @@ mod tests {
         cell.stage(ticket.clone(), (0..100).map(UpdateOp::Insert).collect());
 
         // Unpublished: a render at the current epoch sees nothing.
-        let (_, spans) = cell.spans_at(clock.published()).unwrap();
+        let spans = cell.spans_at(clock.published()).unwrap();
         assert!(spans.is_empty());
 
         let epoch = clock.publish(&ticket, |_| {});
         assert_eq!(epoch, 1);
-        let (_, spans) = cell.spans_at(epoch).unwrap();
+        let spans = cell.spans_at(epoch).unwrap();
         let total: f64 = spans.iter().map(|s| s.count).sum();
         assert!((total - 100.0).abs() < 1e-9);
     }
@@ -931,7 +1087,7 @@ mod tests {
         // Content is at epoch 3 now; a pin at 1 must fail with the
         // applied epoch so the caller can retry.
         assert_eq!(cell.spans_at(1), Err(3));
-        let (_, spans) = cell.spans_at(3).unwrap();
+        let spans = cell.spans_at(3).unwrap();
         let total: f64 = spans.iter().map(|s| s.count).sum();
         assert!((total - 3.0).abs() < 1e-9);
     }
@@ -951,11 +1107,11 @@ mod tests {
         cell.stage(t3.clone(), vec![UpdateOp::Insert(3)]);
         clock.publish(&t1, |_| {});
         clock.publish(&t2, |_| {});
-        let (_, spans) = cell.spans_at(clock.published()).unwrap();
+        let spans = cell.spans_at(clock.published()).unwrap();
         let total: f64 = spans.iter().map(|s| s.count).sum();
         assert!((total - 2.0).abs() < 1e-9, "unpublished t3 leaked: {total}");
         clock.publish(&t3, |_| {});
-        let (_, spans) = cell.spans_at(3).unwrap();
+        let spans = cell.spans_at(3).unwrap();
         let total: f64 = spans.iter().map(|s| s.count).sum();
         assert!((total - 3.0).abs() < 1e-9);
     }

@@ -50,7 +50,7 @@ impl Predicate {
     /// Pins one epoch via [`ColumnStore::snapshot_set`] and probes
     /// *through the front cache* ([`Predicate::cardinality_in`]): the
     /// optimizer's repeated selectivity probes short-circuit in the
-    /// generation's predicate memo instead of touching spans.
+    /// store's predicate memo instead of touching spans.
     ///
     /// # Errors
     /// [`CatalogError::UnknownColumn`] if `column` is absent.

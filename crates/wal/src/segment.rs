@@ -351,8 +351,15 @@ impl Wal {
 
     /// Seals the active segment and opens `wal-{next_start}.seg`.
     /// Called right after a checkpoint at epoch `next_start - 1`, so
-    /// every sealed segment holds only checkpoint-covered epochs.
+    /// every sealed segment holds only checkpoint-covered epochs. A
+    /// no-op when the active segment already starts at `next_start` (a
+    /// second checkpoint at the same epoch): that segment holds no
+    /// epoch the checkpoint covers, only same-epoch records such as a
+    /// rebuild the rewritten checkpoint already reflects.
     pub fn rotate(&mut self, next_start: u64) -> Result<(), WalError> {
+        if self.segments.last().map(|&(start, _)| start) == Some(next_start) {
+            return Ok(());
+        }
         self.sync()?;
         let path = self.dir.join(segment_name(next_start));
         let file = Self::create_segment(&path, self.kind)?;

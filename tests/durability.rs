@@ -495,6 +495,55 @@ fn rebuilt_shape_survives_checkpoint_pruning() {
     assert_eq!(store.column_shape(COL).unwrap().unwrap(), shape);
 }
 
+/// `checkpoint_now` twice at one epoch, with a shape change between the
+/// two: the second call rewrites the checkpoint so it captures the
+/// rebuild, keeps the already-rotated active segment instead of trying
+/// to create it again, and reports the same epoch. Reopening recovers
+/// the rebuilt shape and the exact mass.
+#[test]
+fn second_checkpoint_at_one_epoch_captures_a_rebuild() {
+    const COMMITS: u64 = 40;
+    let dir = TempDir::new("dur-ckpt-twice");
+    let opts = DurableOptions {
+        sync: SyncPolicy::PerCommit,
+        checkpoint_every: None,
+        retain_generations: 2,
+    };
+    let live_shape = {
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        store.register(COL, Design::ShardedLock.config()).unwrap();
+        for e in 0..COMMITS {
+            let mut batch = WriteBatch::new();
+            batch.extend(COL, epoch_ops(e));
+            store.commit(batch).unwrap();
+        }
+        let epoch = store.checkpoint_now().unwrap();
+        assert_eq!(epoch, COMMITS);
+        assert!(store.reshard(COL).unwrap(), "skewed borders moved");
+        assert!(store
+            .rebuild(
+                COL,
+                RebuildPlan::new().with_shards(16).with_spec(AlgoSpec::Dado)
+            )
+            .unwrap());
+        assert_eq!(store.checkpoint_now().unwrap(), epoch);
+        store.column_shape(COL).unwrap().unwrap()
+    };
+    assert_eq!(live_shape.shards, 16);
+    let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+    assert_eq!(store.epoch(), COMMITS);
+    assert_eq!(store.column_shape(COL).unwrap().unwrap(), live_shape);
+    assert_eq!(store.shard_load(COL).unwrap().len(), 16);
+    let total = store.total_count(COL).unwrap();
+    assert!(
+        (total - (COMMITS * OPS_PER_EPOCH) as f64).abs() < 1e-6,
+        "recovered mass {total} drifted"
+    );
+    // The reopened store keeps committing and checkpointing.
+    store.apply(COL, &epoch_ops(COMMITS)).unwrap();
+    assert_eq!(store.checkpoint_now().unwrap(), COMMITS + 1);
+}
+
 /// Back-to-back shape changes with no commit between them all log the
 /// **same barrier** (rebuilds publish no epoch); recovery must replay
 /// every one of them, in order, to the identical final state. Each

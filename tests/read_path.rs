@@ -11,12 +11,15 @@
 //!   first computation on the same immutable snapshot, so repeating a
 //!   probe — and comparing against the uncached `Snapshot` arithmetic —
 //!   must agree to the exact f64 bits, at every epoch.
-//! * **No stale cache.** The predicate cache lives inside one epoch
-//!   generation; a commit or a forced re-shard swaps the generation, so
-//!   no reader can ever observe a pre-swap cached value: immediately
-//!   after `apply`/`commit` returns, cached totals equal the new exact
-//!   total, and under a racing re-sharder every cached estimate is
-//!   still a whole-epoch quantity.
+//! * **No stale cache.** The predicate cache is keyed by column image; a
+//!   commit or a re-shard installs a new image for every column it
+//!   touched, so no reader can ever observe a value cached on a replaced
+//!   image: immediately after `apply`/`commit` returns, cached totals
+//!   equal the new exact total, and under a racing re-sharder every
+//!   cached estimate is still a whole-epoch quantity.
+//! * **No lost image.** Writers committing to disjoint columns race to
+//!   install the next generation; afterwards every column's front image
+//!   is bit-identical to a fresh pinned render at the same epoch.
 
 use dynamic_histograms::prelude::*;
 use proptest::prelude::*;
@@ -297,6 +300,107 @@ fn racing_reshard_never_exposes_a_stale_cache_entry() {
     let stats = store.read_stats();
     assert_eq!(stats.slow_renders, 0, "{stats:?}");
     assert!(stats.fast_reads > 0, "{stats:?}");
+}
+
+/// Writers that commit to *disjoint* columns race to install the next
+/// front generation while readers hammer the front. Each install
+/// re-renders only the columns published since the last one, so a lost
+/// race must never drop the loser's image: after the join, every
+/// column's front snapshot is bit-identical to a fresh pinned render at
+/// the same epoch, and no read ever fell back to the slow path.
+fn run_disjoint_writers(store: &dyn ColumnStore, render: &dyn Fn(&str) -> Snapshot, label: &str) {
+    const WRITERS: usize = 4;
+    const COLUMNS_PER_WRITER: usize = 2;
+    const COMMITS: i64 = 120;
+    let names: Vec<String> = (0..WRITERS * COLUMNS_PER_WRITER)
+        .map(|c| format!("col{c}"))
+        .collect();
+    let plan = ShardPlan::new(DOMAIN.0, DOMAIN.1, SHARDS).unwrap();
+    let plan = if label == "sharded-channel" {
+        plan.channel()
+    } else {
+        plan
+    };
+    for name in &names {
+        let config = ColumnConfig::new(AlgoSpec::Dado, MemoryBudget::from_kb(1.0))
+            .with_seed(3)
+            .with_plan(plan);
+        store.register(name, config).unwrap();
+    }
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for r in 0..2usize {
+            let (store, names, done) = (&store, &names, &done);
+            scope.spawn(move || {
+                let mut i = r;
+                while !done.load(Ordering::Acquire) {
+                    let name = names[i % names.len()].as_str();
+                    let _ = store.estimate_range(name, 100, 400).unwrap();
+                    let _ = store.total_count(name).unwrap();
+                    let snap = store.snapshot(name).unwrap();
+                    assert!(
+                        snap.total_count() <= (COMMITS * PER_BATCH) as f64 + 1e-6,
+                        "{label}: {name} over-counted"
+                    );
+                    let set = store.snapshot_set(&[name, "col0"]).unwrap();
+                    assert_eq!(set.get(name).unwrap().epoch(), set.epoch());
+                    i += 1;
+                }
+            });
+        }
+        std::thread::scope(|writers| {
+            for w in 0..WRITERS {
+                let (store, names) = (&store, &names);
+                writers.spawn(move || {
+                    let own = &names[w * COLUMNS_PER_WRITER..(w + 1) * COLUMNS_PER_WRITER];
+                    for b in 0..COMMITS {
+                        let mut batch = WriteBatch::new();
+                        let column = own[b as usize % own.len()].as_str();
+                        for s in 0..PER_BATCH {
+                            batch.insert(column, (s * 97 + b * 13 + w as i64) % 800);
+                        }
+                        store.commit(batch).unwrap();
+                    }
+                });
+            }
+        });
+        done.store(true, Ordering::Release);
+    });
+
+    let epoch = store.epoch();
+    for name in &names {
+        let front = store.snapshot(name).unwrap();
+        let fresh = render(name);
+        assert_eq!(front.epoch(), epoch, "{label}: {name}");
+        assert_eq!(fresh.epoch(), epoch, "{label}: {name}");
+        assert_eq!(front.checkpoint(), fresh.checkpoint(), "{label}: {name}");
+        let (f, r) = (front.spans(), fresh.spans());
+        assert_eq!(f.len(), r.len(), "{label}: {name}: bucket count");
+        for (a, b) in f.iter().zip(&r) {
+            assert_eq!(
+                (a.lo.to_bits(), a.hi.to_bits(), a.count.to_bits()),
+                (b.lo.to_bits(), b.hi.to_bits(), b.count.to_bits()),
+                "{label}: {name}: front image is stale"
+            );
+        }
+        assert_eq!(
+            front.total_count().to_bits(),
+            fresh.total_count().to_bits(),
+            "{label}: {name}"
+        );
+    }
+    let stats = store.read_stats();
+    assert_eq!(stats.slow_renders, 0, "{label}: {stats:?}");
+}
+
+#[test]
+fn disjoint_writers_never_lose_a_front_image() {
+    let store = Catalog::new();
+    run_disjoint_writers(&store, &|c| store.render_snapshot(c).unwrap(), "catalog");
+    for label in ["sharded-locked", "sharded-channel"] {
+        let store = ShardedCatalog::new();
+        run_disjoint_writers(&store, &|c| store.render_snapshot(c).unwrap(), label);
+    }
 }
 
 /// Strategies for the bit-identity property: a value multiset plus probe
