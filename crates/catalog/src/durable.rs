@@ -11,6 +11,14 @@
 //! contract (record format, fsync trade-offs, the recovery state
 //! machine, time-travel GC) is `docs/DURABILITY.md`.
 //!
+//! # One replay engine
+//!
+//! [`Replayer`] holds the rules for applying changelog records to a
+//! store: recovery here, `dh_replica` followers and `dh_site` catch-up
+//! all drive it, so every replica of a log replays it the same way. The
+//! rules are written down once, in `docs/REPLICATION.md` ("Replay
+//! rules").
+//!
 //! # What the decorator changes
 //!
 //! Reads are untouched — they go straight to the inner store's
@@ -77,6 +85,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::sharded::IngestMode;
+
+mod replay;
+pub use replay::{Gap, Replayed, Replayer};
 
 /// Which inner store design a durable directory belongs to. Stamped
 /// into every segment and checkpoint header so a directory can never be
@@ -185,12 +196,16 @@ fn durability(e: WalError) -> CatalogError {
     CatalogError::Durability(e.to_string())
 }
 
-/// Everything guarded by the log lock: the changelog handle, the source
-/// of truth for configs (with their re-shard policies, which the inner
-/// store never sees), and the time-travel ring.
+/// Everything guarded by the log lock: the changelog handle, the
+/// per-column replay state, and the time-travel ring.
 struct DurableState {
     wal: Wal,
-    configs: BTreeMap<String, ColumnConfig>,
+    /// The source of truth for configs (with their policies, which the
+    /// inner store never sees) and for the per-column rebuild ordinal:
+    /// the last [`WalRecord::Rebuild::seq`] logged. Checkpoints persist
+    /// the ordinal (inside [`ConfigRecord::rebuild_seq`]) so a restarted
+    /// leader never reissues one a follower has already applied.
+    replay: Replayer,
     /// The last `retain_generations` published generations, epochs
     /// strictly ascending; each entry is a full-store [`SnapshotSet`].
     ring: VecDeque<SnapshotSet>,
@@ -199,11 +214,6 @@ struct DurableState {
     /// Per column: the epoch of the last re-shard/rebuild attempt the
     /// policy gates should measure their intervals from.
     last_reshard_attempt: BTreeMap<String, u64>,
-    /// Per column: the lifetime-monotone ordinal of the last logged
-    /// shape change ([`WalRecord::Rebuild::seq`]). Checkpoints persist
-    /// it (inside [`ConfigRecord::rebuild_seq`]) so a restarted leader
-    /// never reissues an ordinal a follower has already applied.
-    rebuild_seqs: BTreeMap<String, u64>,
     /// Per column: `(judged_epoch, judged_load)` — the autoscale rate
     /// window floor, mirroring the inner store's own bookkeeping. Load
     /// counters are cumulative per generation, so the rate window must
@@ -273,26 +283,16 @@ impl DurableStore {
         let dir = dir.into();
         let (wal, records) = Wal::open(&dir, kind.tag(), opts.sync)?;
         let checkpoint = latest_checkpoint(&dir, kind.tag())?;
-        let (inner, configs) = restore_base(kind, checkpoint.as_ref())?;
+        let (inner, replay) = restore_base(kind, checkpoint.as_ref())?;
         let base = checkpoint.as_ref().map_or(0, |ckpt| ckpt.epoch);
         // Seed the live-shape map from the checkpoint: `restore_base`
         // already re-applied these shapes to the inner store; the map
         // keeps them flowing into the *next* checkpoint too.
-        let mut shapes = BTreeMap::new();
-        // Likewise the rebuild ordinals: the records that issued them
-        // may be pruned, but the next shape change must still draw a
-        // fresh ordinal no follower has seen.
-        let mut rebuild_seqs = BTreeMap::new();
-        if let Some(ckpt) = checkpoint.as_ref() {
-            for col in &ckpt.columns {
-                if let Some(shape) = &col.config.rebuilt {
-                    shapes.insert(col.column.clone(), shape.clone());
-                }
-                if col.config.rebuild_seq > 0 {
-                    rebuild_seqs.insert(col.column.clone(), col.config.rebuild_seq);
-                }
-            }
-        }
+        let shapes = checkpoint
+            .iter()
+            .flat_map(|ckpt| &ckpt.columns)
+            .filter_map(|col| Some((col.column.clone(), col.config.rebuilt.clone()?)))
+            .collect();
 
         let store = DurableStore {
             inner,
@@ -301,11 +301,10 @@ impl DurableStore {
             dir,
             state: Mutex::new(DurableState {
                 wal,
-                configs,
+                replay,
                 ring: VecDeque::new(),
                 last_checkpoint: base,
                 last_reshard_attempt: BTreeMap::new(),
-                rebuild_seqs,
                 judged: BTreeMap::new(),
                 shapes,
                 poisoned: None,
@@ -320,6 +319,7 @@ impl DurableStore {
             let mut st = store.lock();
             let epoch = store.inner.epoch();
             let armed: Vec<String> = st
+                .replay
                 .configs
                 .iter()
                 .filter(|(_, config)| config.autoscale.is_some())
@@ -334,101 +334,31 @@ impl DurableStore {
     }
 
     /// Replays the surviving changelog records onto the restored base
-    /// state, repopulating the time-travel ring along the way.
+    /// state, repopulating the time-travel ring along the way. The log
+    /// is this store's own history, so a gap is data loss, and so is a
+    /// record stamped past `base` that the store already reflects.
     fn replay(&self, base: u64, records: Vec<WalRecord>) -> Result<(), DurableError> {
         let mut st = self.lock();
         for record in records {
-            match record {
-                WalRecord::Register { column, config } => {
-                    let config = config_from_record(&config)?;
-                    match st.configs.get(&column) {
-                        Some(live) if *live == config => {} // covered by the checkpoint
-                        Some(live) => {
-                            return Err(DurableError::Recovery(format!(
-                                "register record for '{column}' contradicts the checkpoint \
-                                 ({config:?} vs {live:?})"
-                            )));
-                        }
-                        None => {
-                            self.inner.register(&column, strip_policy(&config))?;
-                            st.configs.insert(column, config);
-                        }
-                    }
-                }
-                WalRecord::Commit { epoch, columns } => {
-                    let at = self.inner.epoch();
-                    if epoch <= at {
-                        if epoch > base {
-                            return Err(DurableError::Recovery(format!(
-                                "commit record for epoch {epoch} arrived out of order \
-                                 (store already at {at})"
-                            )));
-                        }
-                        continue; // covered by the checkpoint
-                    }
-                    if epoch != at + 1 {
-                        return Err(DurableError::Recovery(format!(
-                            "epoch gap in changelog: store at {at}, next record is {epoch}"
-                        )));
-                    }
-                    let mut batch = WriteBatch::new();
-                    for (column, ops) in columns {
-                        batch.extend(&column, ops);
-                    }
-                    self.inner.commit(batch)?;
-                    self.push_generation(&mut st)?;
-                }
-                // Legacy: logs written before the elastic rebuild plane
-                // carry border moves as `Reshard`; the live leader now
-                // logs every shape change as `Rebuild` (with its
-                // ordinal), so this arm only ever replays old logs.
-                WalRecord::Reshard { column, barrier } => {
-                    st.last_reshard_attempt.insert(column.clone(), barrier);
-                    if barrier <= base {
-                        continue; // the checkpoint spans already reflect it
-                    }
-                    let at = self.inner.epoch();
-                    if barrier != at {
-                        return Err(DurableError::Recovery(format!(
-                            "re-shard record for '{column}' at barrier {barrier} does not \
-                             follow its commit (store at {at})"
-                        )));
-                    }
-                    self.inner.reshard(&column)?;
-                    self.refresh_ring_tail(&mut st)?;
-                }
-                WalRecord::Rebuild {
-                    column,
-                    barrier,
-                    seq,
-                    shards,
-                    spec,
-                    memory_bytes,
-                    channel,
-                } => {
-                    st.last_reshard_attempt.insert(column.clone(), barrier);
-                    // Resume the ordinal sequence where the log left it,
-                    // even for records the checkpoint already covers —
-                    // the next live rebuild must not reissue an ordinal.
-                    st.rebuild_seqs.insert(column.clone(), seq);
-                    if barrier <= base {
-                        continue; // the checkpoint's rebuilt shape already reflects it
-                    }
-                    let at = self.inner.epoch();
-                    if barrier != at {
-                        return Err(DurableError::Recovery(format!(
-                            "rebuild record for '{column}' at barrier {barrier} does not \
-                             follow its commit (store at {at})"
-                        )));
-                    }
-                    // The record carries the plan's *deltas*; resolving
-                    // them against the store state at the same barrier
-                    // reproduces the live rebuild bit-identically.
-                    let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes, channel)?;
-                    self.inner.rebuild(&column, plan)?;
+            let stamped = record.epoch();
+            match st.replay.apply(self.inner.as_ref(), record)? {
+                Replayed::Registered => {}
+                Replayed::Committed => self.push_generation(&mut st)?,
+                Replayed::Rebuilt(column) => {
+                    st.last_reshard_attempt
+                        .insert(column.clone(), self.inner.epoch());
                     self.record_live_shape(&mut st, &column)?;
                     self.refresh_ring_tail(&mut st)?;
                 }
+                Replayed::Covered => {
+                    if let Some(epoch) = stamped.filter(|&epoch| epoch > base) {
+                        return Err(DurableError::Recovery(format!(
+                            "record stamped {epoch} arrived out of order (store already at {})",
+                            self.inner.epoch()
+                        )));
+                    }
+                }
+                Replayed::Gap(gap) => return Err(DurableError::Recovery(gap.to_string())),
             }
         }
         Ok(())
@@ -468,7 +398,7 @@ impl DurableStore {
         if self.opts.retain_generations == 0 {
             return Ok(());
         }
-        let names: Vec<&str> = st.configs.keys().map(String::as_str).collect();
+        let names: Vec<&str> = st.replay.configs.keys().map(String::as_str).collect();
         let set = self.inner.snapshot_set(&names)?;
         st.ring.push_back(set);
         while st.ring.len() > self.opts.retain_generations {
@@ -483,7 +413,7 @@ impl DurableStore {
     fn refresh_ring_tail(&self, st: &mut DurableState) -> Result<(), CatalogError> {
         let epoch = self.inner.epoch();
         if st.ring.back().is_some_and(|set| set.epoch() == epoch) {
-            let names: Vec<&str> = st.configs.keys().map(String::as_str).collect();
+            let names: Vec<&str> = st.replay.configs.keys().map(String::as_str).collect();
             *st.ring.back_mut().expect("checked above") = self.inner.snapshot_set(&names)?;
         }
         Ok(())
@@ -494,8 +424,8 @@ impl DurableStore {
     /// epoch) still log as distinguishable records and a follower's
     /// gap-rewind re-read cannot be confused with a distinct rebuild.
     fn bump_rebuild_seq(st: &mut DurableState, column: &str) -> u64 {
-        let seq = st.rebuild_seqs.get(column).copied().unwrap_or(0) + 1;
-        st.rebuild_seqs.insert(column.to_string(), seq);
+        let seq = st.replay.ordinals.get(column).copied().unwrap_or(0) + 1;
+        st.replay.ordinals.insert(column.to_string(), seq);
         seq
     }
 
@@ -515,6 +445,7 @@ impl DurableStore {
     /// checkpoint cadence.
     fn after_commit(&self, st: &mut DurableState, epoch: u64) -> Result<(), CatalogError> {
         let armed: Vec<(String, ReshardPolicy)> = st
+            .replay
             .configs
             .iter()
             .filter_map(|(name, config)| config.reshard.map(|p| (name.clone(), p)))
@@ -540,9 +471,7 @@ impl DurableStore {
             st.last_reshard_attempt.insert(column.clone(), epoch);
             if self.inner.reshard(&column)? {
                 // A border move is logged as a delta-less `Rebuild` so
-                // it draws an ordinal like every other shape change —
-                // `Reshard` records are legacy, decoded but never
-                // written (see [`WalRecord::Reshard`]).
+                // it draws an ordinal like every other shape change.
                 st.judged.insert(column.clone(), (epoch, 0));
                 let seq = Self::bump_rebuild_seq(st, &column);
                 Self::append(
@@ -552,6 +481,7 @@ impl DurableStore {
             }
         }
         let auto: Vec<(String, AutoscalePolicy)> = st
+            .replay
             .configs
             .iter()
             .filter_map(|(name, config)| config.autoscale.map(|p| (name.clone(), p)))
@@ -607,7 +537,7 @@ impl DurableStore {
     /// Composes the whole store at its current epoch into a checkpoint
     /// file, then rotates the changelog and removes covered segments.
     fn checkpoint_to_disk(&self, st: &mut DurableState) -> Result<u64, DurableError> {
-        let names: Vec<&str> = st.configs.keys().map(String::as_str).collect();
+        let names: Vec<&str> = st.replay.configs.keys().map(String::as_str).collect();
         let set = self.inner.snapshot_set(&names)?;
         let epoch = set.epoch();
         let columns = set
@@ -619,9 +549,9 @@ impl DurableStore {
                     // config with the live rebuilt shape: restore must
                     // reproduce it even after the rebuild records that
                     // produced it are pruned with the covered segments.
-                    let mut record = config_to_record(&st.configs[name]);
+                    let mut record = config_to_record(&st.replay.configs[name]);
                     record.rebuilt = st.shapes.get(name).cloned();
-                    record.rebuild_seq = st.rebuild_seqs.get(name).copied().unwrap_or(0);
+                    record.rebuild_seq = st.replay.ordinals.get(name).copied().unwrap_or(0);
                     record
                 },
                 accepted: snap.checkpoint(),
@@ -721,7 +651,7 @@ impl ColumnStore for DurableStore {
     fn register(&self, column: &str, config: ColumnConfig) -> Result<(), CatalogError> {
         let mut st = self.lock();
         Self::check_usable(&st)?;
-        if st.configs.contains_key(column) {
+        if st.replay.configs.contains_key(column) {
             return Err(CatalogError::DuplicateColumn(column.into()));
         }
         // The inner store never sees the policies (stripped below), so
@@ -742,7 +672,7 @@ impl ColumnStore for DurableStore {
                 config: config_to_record(&config),
             },
         )?;
-        st.configs.insert(column.to_string(), config);
+        st.replay.configs.insert(column.to_string(), config);
         Ok(())
     }
 
@@ -840,8 +770,7 @@ impl ColumnStore for DurableStore {
 
     /// Explicit re-shard, logged like a policy-driven one so recovery
     /// replays it at the same barrier — as a delta-less [`Rebuild`]
-    /// record carrying its ordinal ([`WalRecord::Reshard`] is legacy,
-    /// decoded but never written).
+    /// record carrying its ordinal.
     ///
     /// [`Rebuild`]: WalRecord::Rebuild
     fn reshard(&self, column: &str) -> Result<bool, CatalogError> {
@@ -911,15 +840,15 @@ impl ColumnStore for DurableStore {
 }
 
 /// What [`restore_base`] hands back: the freshly built inner store and
-/// the restored per-column config map.
-pub type RestoredBase = (Box<dyn ColumnStore>, BTreeMap<String, ColumnConfig>);
+/// the [`Replayer`] that knows every restored column.
+pub type RestoredBase = (Box<dyn ColumnStore>, Replayer);
 
 /// Builds a fresh inner store of `kind` and seeds it from `checkpoint`
-/// when one is given, returning the boxed store plus the restored
-/// config map (with re-shard policies intact — the store inside gets
-/// them stripped, see [`strip_policy`]). This is the recovery base both
-/// [`DurableStore::open`] and a read replica's checkpoint fallback
-/// start replaying the changelog tail onto.
+/// when one is given, returning the boxed store plus a [`Replayer`]
+/// seeded with the restored configs (with their policies intact — the
+/// store inside gets them stripped) and rebuild ordinals. This is the
+/// recovery base both [`DurableStore::open`] and a read replica's
+/// checkpoint fallback start replaying the changelog tail onto.
 ///
 /// # Errors
 /// [`DurableError::Recovery`] if the checkpoint is internally
@@ -929,7 +858,7 @@ pub fn restore_base(
     kind: StoreKind,
     checkpoint: Option<&Checkpoint>,
 ) -> Result<RestoredBase, DurableError> {
-    let mut configs = BTreeMap::new();
+    let mut replay = Replayer::new();
     // Build the concrete store first: the checkpoint restore needs its
     // `DirectRestore` seam, which the object-safe `ColumnStore` trait
     // deliberately does not carry.
@@ -937,26 +866,26 @@ pub fn restore_base(
         StoreKind::Single => {
             let store = Catalog::new();
             if let Some(ckpt) = checkpoint {
-                restore_checkpoint(&store, ckpt, &mut configs)?;
+                restore_checkpoint(&store, ckpt, &mut replay)?;
             }
             Box::new(store)
         }
         StoreKind::Sharded => {
             let store = ShardedCatalog::new();
             if let Some(ckpt) = checkpoint {
-                restore_checkpoint(&store, ckpt, &mut configs)?;
+                restore_checkpoint(&store, ckpt, &mut replay)?;
             }
             Box::new(store)
         }
     };
-    Ok((inner, configs))
+    Ok((inner, replay))
 }
 
 /// `config` as the inner store should see it: identical, minus any
 /// re-shard or autoscale policy (the [`DurableStore`] decorator — and
 /// likewise a replica replaying its log — runs policy itself, so the
 /// inner store must never second-guess it).
-pub fn strip_policy(config: &ColumnConfig) -> ColumnConfig {
+fn strip_policy(config: &ColumnConfig) -> ColumnConfig {
     ColumnConfig {
         reshard: None,
         autoscale: None,
@@ -1002,8 +931,8 @@ pub fn config_to_record(config: &ColumnConfig) -> ConfigRecord {
 }
 
 /// Decodes a logged [`ConfigRecord`] back into a live [`ColumnConfig`]
-/// — the shared leg of replaying a register record, on recovery and on
-/// a replica alike.
+/// — what a replayed register record and a register request over the
+/// site wire both carry.
 ///
 /// # Errors
 /// [`DurableError::Recovery`] if the record names an unknown algorithm
@@ -1044,36 +973,6 @@ pub fn config_from_record(record: &ConfigRecord) -> Result<ColumnConfig, Durable
     // *live* shape inside a checkpoint, not the registration config —
     // [`restore_checkpoint`] re-applies it through `rebuild` instead.
     Ok(config)
-}
-
-/// Decodes the shape deltas of a logged [`WalRecord::Rebuild`] back into
-/// the [`RebuildPlan`] to replay — the shared leg of replaying a rebuild
-/// record, on recovery and on a replica alike.
-///
-/// # Errors
-/// [`DurableError::Recovery`] if the record names an unknown algorithm.
-pub fn plan_from_deltas(
-    shards: Option<u64>,
-    spec: Option<&str>,
-    memory_bytes: Option<u64>,
-    channel: Option<bool>,
-) -> Result<RebuildPlan, DurableError> {
-    let mut plan = RebuildPlan::new();
-    plan.shards = shards.map(|k| k as usize);
-    if let Some(label) = spec {
-        plan.spec = Some(label.parse().map_err(|e| {
-            DurableError::Recovery(format!("unknown algorithm in rebuild record: {e}"))
-        })?);
-    }
-    plan.memory = memory_bytes.map(|bytes| MemoryBudget::from_bytes(bytes as usize));
-    plan.ingest_mode = channel.map(|ch| {
-        if ch {
-            IngestMode::Channel
-        } else {
-            IngestMode::Locked
-        }
-    });
-    Ok(plan)
 }
 
 /// The [`WalRecord`] a shape-changing rebuild logs: the plan's deltas
@@ -1127,7 +1026,7 @@ fn shape_to_plan(shape: &ShapeRecord) -> Result<RebuildPlan, DurableError> {
 fn restore_checkpoint<S: ColumnStore + DirectRestore>(
     inner: &S,
     ckpt: &Checkpoint,
-    configs: &mut BTreeMap<String, ColumnConfig>,
+    replay: &mut Replayer,
 ) -> Result<(), DurableError> {
     for col in &ckpt.columns {
         if col.accepted > ckpt.epoch {
@@ -1138,7 +1037,15 @@ fn restore_checkpoint<S: ColumnStore + DirectRestore>(
         }
         let config = config_from_record(&col.config)?;
         inner.register(&col.column, strip_policy(&config))?;
-        configs.insert(col.column.clone(), config);
+        replay.configs.insert(col.column.clone(), config);
+        // The records that issued these ordinals may be pruned; the
+        // floor is what proves them applied, and what the next live
+        // rebuild numbers above.
+        if col.config.rebuild_seq > 0 {
+            replay
+                .ordinals
+                .insert(col.column.clone(), col.config.rebuild_seq);
+        }
     }
     // Re-apply any rebuilt shape *before* seeding the mass, so the
     // synthesized ops route through the shape live readers last saw —
@@ -1327,5 +1234,108 @@ mod tests {
         let back = config_from_record(&config_to_record(&config)).unwrap();
         // Bit-wise equality: NaN thresholds compare equal to themselves.
         assert_eq!(back, config);
+    }
+
+    #[test]
+    fn a_rebuild_logged_right_after_a_checkpoint_survives_reopen() {
+        let dir = dh_wal::tmp::TempDir::new("dur-ckpt-then-rebuild");
+        let opts = DurableOptions {
+            sync: SyncPolicy::PerCommit,
+            checkpoint_every: None,
+            retain_generations: 2,
+        };
+        let live = {
+            let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+            let plan = ShardPlan::new(0, 999, 4).unwrap();
+            let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
+            store.register("c", config.with_plan(plan)).unwrap();
+            for v in 0..64 {
+                store.apply("c", &[UpdateOp::Insert(v)]).unwrap();
+            }
+            assert_eq!(store.checkpoint_now().unwrap(), 64);
+            // Logged at the checkpoint's own epoch, but not inside it.
+            let plan = RebuildPlan::new().with_shards(8).with_spec(AlgoSpec::Dado);
+            assert!(store.rebuild("c", plan).unwrap());
+            store.column_shape("c").unwrap()
+        };
+        let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        assert_eq!(store.epoch(), 64);
+        assert_eq!(store.column_shape("c").unwrap(), live);
+    }
+
+    #[test]
+    fn a_repeated_commit_past_the_checkpoint_is_a_recovery_error() {
+        let dir = dh_wal::tmp::TempDir::new("dur-repeat-commit");
+        {
+            let tag = StoreKind::Single.tag();
+            let (mut wal, _) = Wal::open(dir.path(), tag, SyncPolicy::PerCommit).unwrap();
+            let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
+            let commit = |epoch: u64| WalRecord::Commit {
+                epoch,
+                columns: vec![("c".into(), vec![UpdateOp::Insert(epoch as i64)])],
+            };
+            wal.append(&WalRecord::Register {
+                column: "c".into(),
+                config: config_to_record(&config),
+            })
+            .unwrap();
+            for epoch in [1, 2, 1] {
+                wal.append(&commit(epoch)).unwrap();
+            }
+        }
+        let opened = DurableStore::open(dir.path(), StoreKind::Single, DurableOptions::default());
+        assert!(
+            matches!(opened, Err(DurableError::Recovery(ref why)) if why.contains("out of order")),
+            "{opened:?}"
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_covers_the_rebuilds_logged_at_its_epoch() {
+        let dir = dh_wal::tmp::TempDir::new("dur-ckpt-covers");
+        let opts = DurableOptions {
+            sync: SyncPolicy::PerCommit,
+            checkpoint_every: None,
+            retain_generations: 2,
+        };
+        {
+            let store = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+            let plan = ShardPlan::new(0, 999, 4).unwrap();
+            let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
+            store.register("c", config.with_plan(plan)).unwrap();
+            for round in 0..2 {
+                for v in 0..32 {
+                    store.apply("c", &[UpdateOp::Insert(v)]).unwrap();
+                }
+                // The first checkpoint keeps the log after it on disk.
+                if round == 0 {
+                    store.checkpoint_now().unwrap();
+                }
+            }
+            assert!(store.reshard("c").unwrap());
+            assert_eq!(store.checkpoint_now().unwrap(), 64);
+        }
+        // The log still holds the border move at barrier 64; only the
+        // checkpoint's ordinal says the restored state already has it.
+        let copy = dh_wal::tmp::TempDir::new("dur-ckpt-covers-copy");
+        for entry in std::fs::read_dir(dir.path()).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "ck") {
+                std::fs::copy(&path, copy.path().join(path.file_name().unwrap())).unwrap();
+            }
+        }
+        let replayed = DurableStore::open(dir.path(), StoreKind::Sharded, opts).unwrap();
+        let restored = DurableStore::open(copy.path(), StoreKind::Sharded, opts).unwrap();
+        assert_eq!(replayed.epoch(), 64);
+        let spans = |store: &DurableStore| {
+            let snap = store.snapshot("c").unwrap();
+            let bits = |s: &BucketSpan| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits());
+            snap.spans().iter().map(bits).collect::<Vec<_>>()
+        };
+        assert_eq!(spans(&replayed), spans(&restored));
+        assert_eq!(
+            replayed.shard_load("c").unwrap(),
+            restored.shard_load("c").unwrap()
+        );
     }
 }

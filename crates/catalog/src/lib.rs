@@ -50,7 +50,8 @@
 //!   [`DurableStore::open`] replaying the store back (torn final record
 //!   tolerated, corruption typed), and a ring of retained generations
 //!   serving past-epoch [`ColumnStore::snapshot_set_at`] reads — see
-//!   `docs/DURABILITY.md`.
+//!   `docs/DURABILITY.md`. Its [`Replayer`] is the one set of replay
+//!   rules recovery, followers and site catch-up all drive.
 //!
 //! This crate (not `dh_core`) hosts `AlgoSpec` because building AC and
 //! the static baselines requires `dh_sample` and `dh_static`, which both
@@ -95,7 +96,7 @@ pub mod txn;
 
 pub use adapter::StaticRebuild;
 pub use catalog::{Catalog, CatalogError, Snapshot};
-pub use durable::{DurableError, DurableOptions, DurableStore, StoreKind};
+pub use durable::{DurableError, DurableOptions, DurableStore, Replayer, StoreKind};
 pub use read::ReadStats;
 pub use sharded::{
     AutoscalePolicy, ColumnShape, IngestMode, RebuildPlan, ReshardPolicy, ShardMap, ShardPlan,

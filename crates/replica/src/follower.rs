@@ -1,20 +1,18 @@
 //! The follower: continuous changelog replay behind a swappable
 //! serving state.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use dh_catalog::durable::{config_from_record, plan_from_deltas, restore_base, strip_policy};
+use dh_catalog::durable::restore_base;
 use dh_catalog::{
     AlgoSpec, CatalogError, ColumnConfig, ColumnShape, ColumnStore, DurableError, ReadStats,
-    RebuildPlan, Snapshot, SnapshotSet, StoreKind, WriteBatch,
+    RebuildPlan, Replayer, Snapshot, SnapshotSet, StoreKind, WriteBatch,
 };
 use dh_core::UpdateOp;
 use dh_wal::segment::latest_checkpoint;
 use dh_wal::tail::{TailReader, TailStatus};
-use dh_wal::WalRecord;
 
 /// What one [`Follower::poll`] accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,16 +41,6 @@ pub struct PollReport {
     pub status: PollStatus,
 }
 
-/// What replaying a batch of records onto the serving store found.
-enum Applied {
-    /// Every record landed (or was idempotently skipped).
-    Clean,
-    /// A record's epoch runs ahead of the store: a segment is missing
-    /// or incomplete between here and there. Nothing past the gap was
-    /// applied.
-    Gap,
-}
-
 /// The state readers see, swapped atomically on checkpoint fallback.
 struct ServingState {
     store: Box<dyn ColumnStore>,
@@ -62,18 +50,10 @@ struct ServingState {
 /// calls cannot interleave replay.
 struct TailState {
     reader: TailReader,
-    configs: BTreeMap<String, ColumnConfig>,
-    /// Per column, the highest legacy re-shard barrier already applied
-    /// — a gap rewind can re-read such a record at exactly the current
-    /// epoch, and applying it twice could recompute borders the leader
-    /// only computed once.
-    resharded: BTreeMap<String, u64>,
-    /// Per column, the highest rebuild ordinal
-    /// ([`WalRecord::Rebuild::seq`]) already applied. Rebuilds dedup on
-    /// the ordinal, not the barrier: rebuilds publish no epoch, so two
-    /// distinct rebuilds can legitimately share a barrier, and only the
-    /// ordinal tells them apart from a gap-rewind re-read.
-    rebuilt: BTreeMap<String, u64>,
+    /// The replay state of the serving store. Unlike the leader's
+    /// recovery, a follower meets epoch gaps in normal operation — a
+    /// segment that has not arrived yet — and retries them.
+    replay: Replayer,
 }
 
 /// A read replica: tails a leader's changelog directory and serves the
@@ -127,8 +107,7 @@ impl Follower {
         let dir = dir.into();
         let checkpoint = load_checkpoint(&dir, kind)?;
         let base = checkpoint.as_ref().map_or(0, |ckpt| ckpt.epoch);
-        let (store, configs) = restore_base(kind, checkpoint.as_ref())?;
-        let rebuilt = checkpoint.as_ref().map(seed_rebuilt).unwrap_or_default();
+        let (store, replay) = restore_base(kind, checkpoint.as_ref())?;
         let mut reader = TailReader::new(&dir, kind.tag());
         if base > 0 {
             reader.seek(base);
@@ -137,12 +116,7 @@ impl Follower {
             dir,
             kind,
             serving: RwLock::new(Arc::new(ServingState { store })),
-            tail: Mutex::new(TailState {
-                reader,
-                configs,
-                resharded: BTreeMap::new(),
-                rebuilt,
-            }),
+            tail: Mutex::new(TailState { reader, replay }),
             hint: AtomicU64::new(base),
         })
     }
@@ -159,7 +133,7 @@ impl Follower {
 
     /// A monotone lower bound on the leader's published epoch, learned
     /// from the last [`poll`](Follower::poll): commit epochs and
-    /// re-shard barriers seen in the log, plus segment and checkpoint
+    /// rebuild barriers seen in the log, plus segment and checkpoint
     /// file names (a segment starting at `S` proves the leader
     /// published `S - 1`). Never overshoots the leader.
     pub fn leader_epoch_hint(&self) -> u64 {
@@ -199,43 +173,29 @@ impl Follower {
         let status = match polled.status {
             TailStatus::Lost => self.fall_back(&mut tail, &mut applied)?,
             TailStatus::CaughtUp => {
-                let TailState {
-                    configs,
-                    resharded,
-                    rebuilt,
-                    ..
-                } = &mut *tail;
-                match apply_records(
-                    serving.store.as_ref(),
-                    configs,
-                    resharded,
-                    rebuilt,
-                    polled.records,
-                    &mut applied,
-                )? {
-                    Applied::Clean => PollStatus::CaughtUp,
-                    Applied::Gap => {
-                        // A later segment became visible before an
-                        // earlier one finished copying — or the epochs
-                        // between here and there are pruned for good
-                        // and only a checkpoint can bridge them (a
-                        // follower joining a long-running leader parks
-                        // on a surviving segment and would otherwise
-                        // stall forever: the missing history is never
-                        // going to arrive). If a readable checkpoint
-                        // lands past our epoch, restore through it;
-                        // otherwise rewind to our own epoch and retry
-                        // (the overlap re-reads idempotently once the
-                        // missing piece lands).
-                        let bridges = load_checkpoint(&self.dir, self.kind)?
-                            .is_some_and(|ckpt| ckpt.epoch > serving.store.epoch());
-                        if bridges {
-                            self.fall_back(&mut tail, &mut applied)?
-                        } else {
-                            tail.reader.seek(serving.store.epoch());
-                            PollStatus::Stalled
-                        }
-                    }
+                let (committed, gap) = tail
+                    .replay
+                    .apply_all(serving.store.as_ref(), polled.records)?;
+                applied += committed;
+                // A gap: a later segment became visible before an
+                // earlier one finished copying — or the epochs between
+                // here and there are pruned for good and only a
+                // checkpoint can bridge them (a follower joining a
+                // long-running leader parks on a surviving segment and
+                // would otherwise stall forever: the missing history is
+                // never going to arrive). If a readable checkpoint lands
+                // past our epoch, restore through it; otherwise rewind
+                // to our own epoch and retry (the overlap re-reads
+                // idempotently once the missing piece lands).
+                if gap.is_none() {
+                    PollStatus::CaughtUp
+                } else if load_checkpoint(&self.dir, self.kind)?
+                    .is_some_and(|ckpt| ckpt.epoch > serving.store.epoch())
+                {
+                    self.fall_back(&mut tail, &mut applied)?
+                } else {
+                    tail.reader.seek(serving.store.epoch());
+                    PollStatus::Stalled
                 }
             }
         };
@@ -259,34 +219,21 @@ impl Follower {
             tail.reader.seek(old_epoch);
             return Ok(PollStatus::Stalled);
         };
-        let (store, mut configs) = restore_base(self.kind, Some(&ckpt))?;
-        let mut resharded = BTreeMap::new();
-        // Seed the rebuild-ordinal floor from the checkpoint: a rebuild
-        // record at exactly the checkpoint epoch is still in the log
-        // tail, and only its ordinal proves it is already inside the
-        // restored shape.
-        let mut rebuilt = seed_rebuilt(&ckpt);
+        // The replayer comes seeded with the checkpoint's rebuild
+        // ordinals: a rebuild record at exactly the checkpoint epoch is
+        // still in the log tail, and only its ordinal proves it is
+        // already inside the restored shape.
+        let (store, mut replay) = restore_base(self.kind, Some(&ckpt))?;
         let mut reader = TailReader::new(&self.dir, self.kind.tag());
         reader.seek(ckpt.epoch);
         let polled = reader.poll()?;
-        let mut restored_applied = 0u64;
-        let clean = match polled.status {
+        let (restored_applied, gap) = match polled.status {
             // Pruned again while restoring: keep the old state, retry.
             TailStatus::Lost => {
                 tail.reader.seek(old_epoch);
                 return Ok(PollStatus::Stalled);
             }
-            TailStatus::CaughtUp => matches!(
-                apply_records(
-                    store.as_ref(),
-                    &mut configs,
-                    &mut resharded,
-                    &mut rebuilt,
-                    polled.records,
-                    &mut restored_applied,
-                )?,
-                Applied::Clean
-            ),
+            TailStatus::CaughtUp => replay.apply_all(store.as_ref(), polled.records)?,
         };
         if store.epoch() < old_epoch {
             // The readable checkpoint plus tail lands *behind* what we
@@ -295,7 +242,7 @@ impl Follower {
             tail.reader.seek(old_epoch);
             return Ok(PollStatus::Stalled);
         }
-        if !clean {
+        if gap.is_some() {
             // The restored state is a valid whole-epoch state, but the
             // tail past it has a gap; park the new reader at the new
             // epoch for the retry.
@@ -308,9 +255,7 @@ impl Follower {
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = Arc::new(ServingState { store });
         tail.reader = reader;
-        tail.configs = configs;
-        tail.resharded = resharded;
-        tail.rebuilt = rebuilt;
+        tail.replay = replay;
         Ok(PollStatus::Restored)
     }
 
@@ -344,118 +289,6 @@ fn load_checkpoint(
         return Ok(None);
     }
     Ok(latest_checkpoint(dir, kind.tag())?)
-}
-
-/// The per-column rebuild ordinals a checkpoint proves applied — the
-/// dedup floor replay starts from after a checkpoint restore.
-fn seed_rebuilt(ckpt: &dh_wal::Checkpoint) -> BTreeMap<String, u64> {
-    ckpt.columns
-        .iter()
-        .filter(|col| col.config.rebuild_seq > 0)
-        .map(|col| (col.column.clone(), col.config.rebuild_seq))
-        .collect()
-}
-
-/// Replays records onto a serving store, mirroring the leader-side
-/// recovery replay — with one deliberate difference: where recovery
-/// treats an epoch gap as unreplayable corruption (the leader owns its
-/// log; a gap there is data loss), a follower treats it as a segment
-/// that has not arrived yet and reports [`Applied::Gap`] for a retry.
-fn apply_records(
-    store: &dyn ColumnStore,
-    configs: &mut BTreeMap<String, ColumnConfig>,
-    resharded: &mut BTreeMap<String, u64>,
-    rebuilt: &mut BTreeMap<String, u64>,
-    records: Vec<WalRecord>,
-    applied: &mut u64,
-) -> Result<Applied, DurableError> {
-    for record in records {
-        match record {
-            WalRecord::Register { column, config } => {
-                let config = config_from_record(&config)?;
-                match configs.get(&column) {
-                    // Re-read after a seek, or covered by the restored
-                    // checkpoint.
-                    Some(live) if *live == config => {}
-                    Some(live) => {
-                        return Err(DurableError::Recovery(format!(
-                            "register record for '{column}' contradicts the replica's \
-                             config ({config:?} vs {live:?})"
-                        )));
-                    }
-                    None => {
-                        store.register(&column, strip_policy(&config))?;
-                        configs.insert(column, config);
-                    }
-                }
-            }
-            WalRecord::Commit { epoch, columns } => {
-                let at = store.epoch();
-                if epoch <= at {
-                    continue; // re-read overlap after a seek
-                }
-                if epoch != at + 1 {
-                    return Ok(Applied::Gap);
-                }
-                let mut batch = WriteBatch::new();
-                for (column, ops) in columns {
-                    batch.extend(&column, ops);
-                }
-                store.commit(batch)?;
-                *applied += 1;
-            }
-            // Legacy records: written before the elastic rebuild plane
-            // (today's leaders log every border move as `Rebuild`). At
-            // most one could land per barrier, so the barrier doubles as
-            // its identity and the dedup below is sound for them.
-            WalRecord::Reshard { column, barrier } => {
-                let at = store.epoch();
-                if barrier < at || resharded.get(&column).is_some_and(|&b| barrier <= b) {
-                    // The leader appends under one lock, so the byte
-                    // stream is a prefix in epoch order: having applied
-                    // any commit past `barrier` proves this re-shard
-                    // was already replayed (or checkpoint-covered) —
-                    // likewise one re-read at exactly the current epoch
-                    // after a gap rewind.
-                    continue;
-                }
-                if barrier > at {
-                    return Ok(Applied::Gap);
-                }
-                store.reshard(&column)?;
-                resharded.insert(column, barrier);
-            }
-            WalRecord::Rebuild {
-                column,
-                barrier,
-                seq,
-                shards,
-                spec,
-                memory_bytes,
-                channel,
-            } => {
-                let at = store.epoch();
-                if barrier < at || rebuilt.get(&column).is_some_and(|&s| seq <= s) {
-                    // A commit past `barrier` proves this rebuild was
-                    // already replayed or checkpoint-covered (the same
-                    // prefix-order argument as for re-shard records).
-                    // At the barrier itself only the ordinal decides:
-                    // rebuilds publish no epoch, so a *distinct* second
-                    // rebuild at the same barrier (seq above the floor)
-                    // must apply, while a gap-rewind re-read (seq at or
-                    // below it) must not.
-                    continue;
-                }
-                if barrier > at {
-                    return Ok(Applied::Gap);
-                }
-                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes, channel)?;
-                store.rebuild(&column, plan)?;
-                rebuilt.insert(column, seq);
-            }
-        }
-    }
-    Ok(Applied::Clean)
 }
 
 /// A read-only error for every mutation arriving through the trait.

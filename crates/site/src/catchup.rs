@@ -6,16 +6,13 @@
 //! tailing a changelog *directory*, [`catch_up`] pulls the records over
 //! the [`Site::tail`] surface (a [`TailReader`](dh_wal::tail::TailReader)
 //! running inside the source site) and applies them with the same
-//! idempotent rules — re-read registers and already-applied commits are
-//! skipped, an epoch gap stops the replay instead of corrupting the
-//! target, and re-shard barriers replay exactly once. The rules are
-//! written down as the *catch-up rule* in `docs/GLOBAL.md`.
+//! [`Replayer`] recovery and followers drive; an epoch gap stops the
+//! replay cleanly. The replay rules are written down once, in
+//! `docs/REPLICATION.md` ("Replay rules"); `docs/GLOBAL.md` has the
+//! catch-up protocol around them.
 
 use crate::site::{Site, SiteError};
-use dh_catalog::durable::{config_from_record, plan_from_deltas, strip_policy};
-use dh_catalog::{CatalogError, ColumnConfig, ColumnStore, WriteBatch};
-use dh_wal::WalRecord;
-use std::collections::BTreeMap;
+use dh_catalog::{CatalogError, ColumnStore, DurableError, Replayer};
 
 /// What one [`catch_up`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,128 +30,37 @@ pub struct CatchUp {
 
 /// Replays `source`'s changelog past `from` onto `target`.
 ///
-/// `from` should be the target's current epoch (`target.epoch()`);
-/// records at or before it are skipped idempotently, so a conservative
-/// (lower) value is safe, merely wasteful.
+/// `replay` holds the target's replay state: pass the same
+/// [`Replayer`] to every call for one target, starting from
+/// [`Replayer::new`] on an empty target. `from` should be the target's
+/// current epoch (`target.epoch()`); records at or before it are
+/// skipped, so a conservative (lower) value is safe, merely wasteful.
 ///
 /// # Errors
 ///
 /// Transport and protocol failures from [`Site::tail`] pass through.
-/// [`SiteError::Store`] reports a target that rejects a replayed
-/// record — including a register record that *contradicts* the
-/// target's live config for that column, which is a real divergence
-/// and never skipped silently.
+/// [`SiteError::Store`] reports a record the replay refuses — including
+/// a register record that *contradicts* the config `replay` knows for
+/// that column, or that names a column the target hosts outside this
+/// replay: a real divergence, never skipped silently.
 pub fn catch_up(
     target: &dyn ColumnStore,
     source: &dyn Site,
+    replay: &mut Replayer,
     from: u64,
 ) -> Result<CatchUp, SiteError> {
     let tail = source.tail(from)?;
-    let mut applied = 0u64;
-    let mut clean = true;
-    // Legacy re-shard barriers already replayed this call, so a barrier
-    // that lands exactly at the current epoch replays once, not per
-    // re-read.
-    let mut resharded: BTreeMap<String, u64> = BTreeMap::new();
-    // Rebuild ordinals already replayed this call. Rebuilds dedup on
-    // the ordinal, not the barrier: rebuilds publish no epoch, so two
-    // distinct rebuilds can legitimately share a barrier.
-    let mut rebuilt: BTreeMap<String, u64> = BTreeMap::new();
-    'replay: for record in tail.records {
-        match record {
-            WalRecord::Register { column, config } => {
-                let config =
-                    config_from_record(&config).map_err(|e| SiteError::Remote(e.to_string()))?;
-                if target.contains(&column) {
-                    check_config_matches(target, &column, &config)?;
-                } else {
-                    target.register(&column, strip_policy(&config))?;
-                }
-            }
-            WalRecord::Commit { epoch, columns } => {
-                let at = target.epoch();
-                if epoch <= at {
-                    continue; // overlap below the requested epoch
-                }
-                if epoch != at + 1 {
-                    clean = false; // a gap: stop before corrupting
-                    break 'replay;
-                }
-                let mut batch = WriteBatch::new();
-                for (column, ops) in columns {
-                    batch.extend(&column, ops);
-                }
-                target.commit(batch)?;
-                applied += 1;
-            }
-            // Legacy: logs written before the elastic rebuild plane; at
-            // most one `Reshard` could land per barrier, so the barrier
-            // doubles as its identity.
-            WalRecord::Reshard { column, barrier } => {
-                let at = target.epoch();
-                if barrier < at || resharded.get(&column).is_some_and(|&b| barrier <= b) {
-                    continue; // already covered by the target's state
-                }
-                if barrier > at {
-                    clean = false;
-                    break 'replay;
-                }
-                target.reshard(&column)?;
-                resharded.insert(column, barrier);
-            }
-            WalRecord::Rebuild {
-                column,
-                barrier,
-                seq,
-                shards,
-                spec,
-                memory_bytes,
-                channel,
-            } => {
-                let at = target.epoch();
-                if barrier < at || rebuilt.get(&column).is_some_and(|&s| seq <= s) {
-                    // Covered by the target's state — or, at the barrier
-                    // itself, a re-read of an ordinal this call already
-                    // applied. A *distinct* second rebuild at the same
-                    // barrier carries a higher ordinal and must apply.
-                    continue;
-                }
-                if barrier > at {
-                    clean = false;
-                    break 'replay;
-                }
-                let plan = plan_from_deltas(shards, spec.as_deref(), memory_bytes, channel)
-                    .map_err(|e| SiteError::Remote(e.to_string()))?;
-                target.rebuild(&column, plan)?;
-                rebuilt.insert(column, seq);
-            }
-        }
-    }
+    let (applied, gap) = replay
+        .apply_all(target, tail.records)
+        .map_err(|e| match e {
+            DurableError::Store(e) => SiteError::Store(e),
+            other => SiteError::Store(CatalogError::Durability(other.to_string())),
+        })?;
     Ok(CatchUp {
         applied,
         epoch: target.epoch(),
-        caught_up: tail.caught_up && clean,
+        caught_up: tail.caught_up && gap.is_none(),
     })
-}
-
-/// A register record for a column the target already hosts must agree
-/// with the live config — the same contradiction check the follower
-/// replay makes, expressed against the store surface.
-fn check_config_matches(
-    target: &dyn ColumnStore,
-    column: &str,
-    config: &ColumnConfig,
-) -> Result<(), SiteError> {
-    let live = target.spec(column)?;
-    if live == config.spec {
-        Ok(())
-    } else {
-        Err(SiteError::Store(CatalogError::Durability(format!(
-            "register record for '{column}' contradicts the target's algorithm \
-             ({:?} vs live {live:?})",
-            config.spec
-        ))))
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +70,8 @@ mod tests {
     use crate::site::LocalSite;
     use crate::RemoteSite;
     use dh_catalog::durable::{DurableOptions, DurableStore, StoreKind};
-    use dh_catalog::{AlgoSpec, Catalog};
-    use dh_core::{MemoryBudget, ReadHistogram};
+    use dh_catalog::{AlgoSpec, Catalog, ColumnConfig, WriteBatch};
+    use dh_core::{MemoryBudget, ReadHistogram, UpdateOp};
     use dh_wal::tmp::TempDir;
     use dh_wal::SyncPolicy;
     use std::sync::Arc;
@@ -195,7 +101,8 @@ mod tests {
         let source = RemoteSite::new("src", server.addr());
 
         let target = Catalog::new();
-        let report = catch_up(&target, &source, 0).unwrap();
+        let mut replay = Replayer::new();
+        let report = catch_up(&target, &source, &mut replay, 0).unwrap();
         assert!(report.caught_up);
         assert_eq!(report.applied, 5);
         assert_eq!(report.epoch, 5);
@@ -213,7 +120,7 @@ mod tests {
         );
 
         // Idempotent: replaying from 0 again applies nothing new.
-        let again = catch_up(&target, &source, 0).unwrap();
+        let again = catch_up(&target, &source, &mut replay, 0).unwrap();
         assert!(again.caught_up);
         assert_eq!(again.applied, 0);
         assert_eq!(again.epoch, 5);
@@ -259,7 +166,7 @@ mod tests {
         let server = SiteServer::spawn(Arc::clone(&store)).unwrap();
         let source = RemoteSite::new("src", server.addr());
         let target = ShardedCatalog::new();
-        let report = catch_up(&target, &source, 0).unwrap();
+        let report = catch_up(&target, &source, &mut Replayer::new(), 0).unwrap();
         assert!(report.caught_up);
         assert_eq!(report.epoch, store.epoch());
         assert_eq!(
@@ -285,12 +192,126 @@ mod tests {
         );
     }
 
+    /// `column`'s spans as raw bits, for bit-identity checks.
+    fn span_bits(store: &dyn ColumnStore, column: &str) -> Vec<(u64, u64, u64)> {
+        let snap = store.snapshot(column).unwrap();
+        let bits = |s: &dh_core::BucketSpan| (s.lo.to_bits(), s.hi.to_bits(), s.count.to_bits());
+        snap.spans().iter().map(bits).collect()
+    }
+
+    #[test]
+    fn repeated_catch_up_skips_a_trailing_same_barrier_rebuild_stack() {
+        use dh_catalog::{RebuildPlan, ShardPlan, ShardedCatalog};
+
+        let dir = TempDir::new("catchup_repeat");
+        let options = DurableOptions {
+            sync: SyncPolicy::Off,
+            checkpoint_every: None,
+            ..DurableOptions::default()
+        };
+        let store = Arc::new(DurableStore::open(dir.path(), StoreKind::Sharded, options).unwrap());
+        store
+            .register(
+                "c",
+                ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0))
+                    .with_seed(3)
+                    .with_plan(ShardPlan::new(0, 119, 4).unwrap()),
+            )
+            .unwrap();
+        for round in 0..20i64 {
+            let mut batch = WriteBatch::new();
+            for v in 0..32i64 {
+                batch.insert("c", ((round * 7 + v) % 40) * (v % 3 + 1));
+            }
+            store.commit(batch).unwrap();
+        }
+        // Two shape changes at one barrier, with no commit after them.
+        let dado = RebuildPlan::new().with_shards(16).with_spec(AlgoSpec::Dado);
+        assert!(store.rebuild("c", dado).unwrap());
+        let dc = RebuildPlan::new().with_shards(4).with_spec(AlgoSpec::Dc);
+        assert!(store.rebuild("c", dc).unwrap());
+
+        let server = SiteServer::spawn(Arc::clone(&store)).unwrap();
+        let source = RemoteSite::new("src", server.addr());
+        let target = ShardedCatalog::new();
+        let mut replay = Replayer::new();
+        assert!(
+            catch_up(&target, &source, &mut replay, 0)
+                .unwrap()
+                .caught_up
+        );
+
+        // The next pull re-reads the segment that holds both rebuilds at
+        // the target's epoch; the replayer's ordinals must skip them.
+        let mut batch = WriteBatch::new();
+        batch.insert("c", 60);
+        store.commit(batch).unwrap();
+        let report = catch_up(&target, &source, &mut replay, target.epoch()).unwrap();
+        assert!(report.caught_up);
+        assert_eq!(report.applied, 1);
+        assert_eq!(report.epoch, store.epoch());
+        assert_eq!(
+            target.column_shape("c").unwrap(),
+            store.column_shape("c").unwrap()
+        );
+        assert_eq!(
+            target.shard_load("c").unwrap(),
+            store.shard_load("c").unwrap()
+        );
+        assert_eq!(span_bits(&target, "c"), span_bits(store.as_ref(), "c"));
+    }
+
+    #[test]
+    fn a_register_that_contradicts_the_target_is_a_store_error() {
+        // A durable source whose log registers `c` as DC with `kb`.
+        let source = |name: &str, kb: f64| {
+            let dir = TempDir::new(name);
+            let options = DurableOptions {
+                sync: SyncPolicy::Off,
+                ..DurableOptions::default()
+            };
+            let store =
+                Arc::new(DurableStore::open(dir.path(), StoreKind::Single, options).unwrap());
+            let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(kb));
+            store.register("c", config).unwrap();
+            store.apply("c", &[UpdateOp::Insert(5)]).unwrap();
+            let server = SiteServer::spawn(store).unwrap();
+            let site = RemoteSite::new(name, server.addr());
+            (dir, server, site)
+        };
+        let (_dir1, _server1, one_kb) = source("catchup_reg_1kb", 1.0);
+        let (_dir4, _server4, four_kb) = source("catchup_reg_4kb", 4.0);
+
+        // The target hosts `c` with another budget than the log's.
+        let target = Catalog::new();
+        let config = ColumnConfig::new(AlgoSpec::Dc, MemoryBudget::from_kb(1.0));
+        target.register("c", config).unwrap();
+        let got = catch_up(&target, &four_kb, &mut Replayer::new(), 0);
+        assert!(matches!(got, Err(SiteError::Store(_))), "{got:?}");
+        assert_eq!(target.epoch(), 0);
+
+        // The replay itself registered `c`; a log that disagrees later
+        // is refused too.
+        let target = Catalog::new();
+        let mut replay = Replayer::new();
+        assert!(
+            catch_up(&target, &one_kb, &mut replay, 0)
+                .unwrap()
+                .caught_up
+        );
+        let got = catch_up(&target, &four_kb, &mut replay, 0);
+        assert!(
+            matches!(got, Err(SiteError::Store(CatalogError::Durability(ref why))) if why.contains("contradicts")),
+            "{got:?}"
+        );
+    }
+
     #[test]
     fn tailing_a_local_bare_catalog_is_unsupported() {
         let source = LocalSite::new("a", Box::new(Catalog::new()));
         let target = Catalog::new();
         assert!(matches!(
-            catch_up(&target, &source, 0),
+            catch_up(&target, &source, &mut Replayer::new(), 0),
             Err(SiteError::Unsupported(_))
         ));
     }

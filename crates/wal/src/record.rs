@@ -26,6 +26,10 @@ use dh_core::UpdateOp;
 /// (the largest commits in the workspace are a few megabytes).
 pub const MAX_RECORD_LEN: u32 = 256 << 20;
 
+/// The most [`read_framed`] reserves up front for a payload; larger
+/// payloads grow as their bytes arrive.
+const READ_CHUNK: usize = 64 << 10;
+
 /// One durable catalog mutation, in commit order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
@@ -46,27 +50,13 @@ pub enum WalRecord {
         /// iteration order).
         columns: Vec<(String, Vec<UpdateOp>)>,
     },
-    /// A completed re-shard that moved a column's borders. Replayed by
-    /// re-running the (deterministic) border rebuild at the same point
-    /// in the epoch sequence. **Legacy**: decoded from pre-elastic logs
-    /// only — a current leader logs every shape change, border
-    /// rebalances included, as a [`WalRecord::Rebuild`], whose `seq`
-    /// makes same-barrier changes distinguishable on replay.
-    Reshard {
-        /// The re-sharded column.
-        column: String,
-        /// The epoch barrier the rebuild drained to — always the epoch
-        /// of the immediately preceding commit record.
-        barrier: u64,
-    },
     /// A completed *rebuild* that changed a column's borders or shape —
     /// shard count, algorithm, memory budget, or ingestion mode —
-    /// behind the same epoch barrier a re-shard uses. The shape-carrying
-    /// successor of the legacy [`WalRecord::Reshard`]: a rebuild's
-    /// target is not derivable at replay time, so the record carries
-    /// the plan deltas. `None` fields keep the column's value current
-    /// at the barrier, exactly as the live call resolved them (a pure
-    /// border rebalance carries all-`None` deltas).
+    /// behind an epoch barrier. A rebuild's target is not derivable at
+    /// replay time, so the record carries the plan deltas. `None`
+    /// fields keep the column's value current at the barrier, exactly
+    /// as the live call resolved them (a pure border rebalance carries
+    /// all-`None` deltas).
     Rebuild {
         /// The rebuilt column.
         column: String,
@@ -190,13 +180,24 @@ pub struct ShapeRecord {
 
 const KIND_REGISTER: u8 = 1;
 const KIND_COMMIT: u8 = 2;
-const KIND_RESHARD: u8 = 3;
+// Kind 3 was the bare border-move `Reshard` record; it is retired, and
+// the segment magic was bumped so no log that may hold one is read.
 const KIND_REBUILD: u8 = 4;
 
 const OP_INSERT: u8 = 0;
 const OP_DELETE: u8 = 1;
 
 impl WalRecord {
+    /// The epoch the record is stamped with: a commit's epoch or a
+    /// rebuild's barrier. Registers publish no epoch and carry none.
+    pub fn epoch(&self) -> Option<u64> {
+        match self {
+            WalRecord::Register { .. } => None,
+            WalRecord::Commit { epoch, .. } => Some(*epoch),
+            WalRecord::Rebuild { barrier, .. } => Some(*barrier),
+        }
+    }
+
     /// Serializes the record into its on-disk frame (length prefix,
     /// checksum, payload).
     pub fn encode_frame(&self) -> Vec<u8> {
@@ -227,11 +228,6 @@ impl WalRecord {
                         }
                     }
                 }
-            }
-            WalRecord::Reshard { column, barrier } => {
-                payload.u8(KIND_RESHARD);
-                payload.str_(column);
-                payload.u64(*barrier);
             }
             WalRecord::Rebuild {
                 column,
@@ -301,10 +297,6 @@ impl WalRecord {
                 }
                 WalRecord::Commit { epoch, columns }
             }
-            KIND_RESHARD => WalRecord::Reshard {
-                column: r.str_()?,
-                barrier: r.u64()?,
-            },
             KIND_REBUILD => {
                 let column = r.str_()?;
                 let barrier = r.u64()?;
@@ -524,6 +516,7 @@ pub fn write_framed(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Res
 /// a checksum mismatch surfaces as `InvalidData` — a stream, unlike a
 /// segment tail, has no "torn but recoverable" state.
 pub fn read_framed(r: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>>> {
+    use std::io::Read as _;
     let mut header = [0u8; 8];
     let mut got = 0;
     while got < header.len() {
@@ -546,8 +539,16 @@ pub fn read_framed(r: &mut impl std::io::Read) -> std::io::Result<Option<Vec<u8>
             format!("frame length {len} exceeds cap {MAX_RECORD_LEN}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow with the bytes that actually arrive: a length prefix alone
+    // must not make the reader allocate up to the cap.
+    let mut payload = Vec::with_capacity((len as usize).min(READ_CHUNK));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "stream ended mid-frame payload",
+        ));
+    }
     if crc32(&payload) != crc {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -780,10 +781,6 @@ mod tests {
                     ("t".into(), vec![]),
                 ],
             },
-            WalRecord::Reshard {
-                column: "orders.amount".into(),
-                barrier: 42,
-            },
             WalRecord::Rebuild {
                 column: "orders.amount".into(),
                 barrier: 43,
@@ -910,19 +907,19 @@ mod tests {
                 },
             }
         );
+    }
 
-        // An old-format bare Reshard frame decodes unchanged.
+    #[test]
+    fn retired_reshard_kind_is_an_unknown_kind() {
+        // Kind 3 carried the retired bare `Reshard` record; its old body
+        // (column name + barrier) must not decode as anything.
         let mut w = Writer::new();
-        w.u8(KIND_RESHARD);
+        w.u8(3);
         w.str_("c");
         w.u64(7);
-        let decoded = WalRecord::decode_payload(&w.into_bytes()).unwrap();
         assert_eq!(
-            decoded,
-            WalRecord::Reshard {
-                column: "c".into(),
-                barrier: 7,
-            }
+            WalRecord::decode_payload(&w.into_bytes()).unwrap_err(),
+            "unknown record kind 3"
         );
     }
 
@@ -1048,5 +1045,14 @@ mod tests {
         huge[0..4].copy_from_slice(&(MAX_RECORD_LEN + 1).to_le_bytes());
         let err = read_framed(&mut &huge[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_max_length_header_then_eof_is_unexpected_eof() {
+        let mut stream = MAX_RECORD_LEN.to_le_bytes().to_vec();
+        stream.extend_from_slice(&0u32.to_le_bytes());
+        stream.extend_from_slice(b"partial");
+        let err = read_framed(&mut &stream[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

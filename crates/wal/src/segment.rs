@@ -9,8 +9,10 @@
 //! ```
 //!
 //! Every file opens with a 9-byte header: an 8-byte magic/version
-//! (`DHWAL001` / `DHCKP001`) and a store-kind tag byte, so a sharded
-//! store cannot silently replay a single-cell store's log. Segments are
+//! (`DHWAL002` / `DHCKP001`) and a store-kind tag byte, so a sharded
+//! store cannot silently replay a single-cell store's log. Segment
+//! version 1 logs could hold the retired kind-3 `Reshard` record; their
+//! magic now fails the header check instead of being misread. Segments are
 //! named by the first epoch they may contain; rotation happens right
 //! after a checkpoint at epoch `E`, opening `wal-{E+1}.seg`, which makes
 //! "segments fully covered by a checkpoint" a pure filename computation
@@ -33,7 +35,7 @@ use dh_core::BucketSpan;
 use crate::record::{self, ConfigRecord, Frame, Reader, WalRecord, Writer};
 use crate::{SyncPolicy, WalError};
 
-pub(crate) const SEG_MAGIC: &[u8; 8] = b"DHWAL001";
+pub(crate) const SEG_MAGIC: &[u8; 8] = b"DHWAL002";
 const CKPT_MAGIC: &[u8; 8] = b"DHCKP001";
 pub(crate) const HEADER_LEN: u64 = 9;
 
@@ -600,6 +602,26 @@ mod tests {
             epoch,
             columns: vec![("c".into(), vec![UpdateOp::Insert(epoch as i64)])],
         }
+    }
+
+    #[test]
+    fn version_one_segment_magic_is_a_typed_header_error() {
+        let dir = TempDir::new("seg-old-magic");
+        drop(Wal::open(dir.path(), KIND, SyncPolicy::PerCommit).unwrap());
+        let seg = dir.path().join(segment_name(0));
+        let mut bytes = b"DHWAL001".to_vec();
+        bytes.push(KIND);
+        bytes.extend_from_slice(&commit(1).encode_frame());
+        fs::write(&seg, &bytes).unwrap();
+
+        assert!(matches!(
+            Wal::open(dir.path(), KIND, SyncPolicy::PerCommit),
+            Err(WalError::BadHeader { .. })
+        ));
+        let mut tail = crate::tail::TailReader::new(dir.path(), KIND);
+        assert!(matches!(tail.poll(), Err(WalError::BadHeader { .. })));
+        // Neither reader touched the file.
+        assert_eq!(fs::read(&seg).unwrap(), bytes);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub struct TailReader {
     resume: Option<u64>,
     /// The highest epoch proven *behind* the cursor: the caller's
     /// replayed epoch at the last seek, raised by every commit epoch
-    /// and re-shard barrier decoded since. Gates segment advancement —
+    /// and rebuild barrier decoded since. Gates segment advancement —
     /// the continuity proof that the current segment is really
     /// exhausted, not just truncated at a frame boundary.
     seen: u64,
@@ -134,7 +134,7 @@ impl TailReader {
 
     /// A lower bound on the leader's published epoch, learned from
     /// everything this reader has seen on disk: commit epochs and
-    /// re-shard barriers decoded so far, segment names (a segment
+    /// rebuild barriers decoded so far, segment names (a segment
     /// starting at `S` proves epoch `S - 1` was published), and
     /// checkpoint names. Monotone; `0` before the first poll.
     pub fn epoch_hint(&self) -> u64 {
@@ -193,14 +193,8 @@ impl TailReader {
             let cursor = self.cursor.as_mut().expect("positioned above");
             let before = records.len();
             let end = read_segment_tail(path, self.kind, &mut cursor.offset, &mut records)?;
-            for record in &records[before..] {
-                match record {
-                    WalRecord::Commit { epoch, .. } => self.seen = self.seen.max(*epoch),
-                    WalRecord::Reshard { barrier, .. } => self.seen = self.seen.max(*barrier),
-                    WalRecord::Rebuild { barrier, .. } => self.seen = self.seen.max(*barrier),
-                    WalRecord::Register { .. } => {}
-                }
-            }
+            let stamped = records[before..].iter().filter_map(WalRecord::epoch);
+            self.seen = stamped.fold(self.seen, u64::max);
             match end {
                 SegmentEnd::Pending => break,
                 SegmentEnd::Clean if is_last => break,
@@ -223,14 +217,10 @@ impl TailReader {
             }
         }
 
-        for record in &records {
-            match record {
-                WalRecord::Commit { epoch, .. } => self.hint = self.hint.max(*epoch),
-                WalRecord::Reshard { barrier, .. } => self.hint = self.hint.max(*barrier),
-                WalRecord::Rebuild { barrier, .. } => self.hint = self.hint.max(*barrier),
-                WalRecord::Register { .. } => {}
-            }
-        }
+        self.hint = records
+            .iter()
+            .filter_map(WalRecord::epoch)
+            .fold(self.hint, u64::max);
         Ok(TailPoll {
             records,
             status: TailStatus::CaughtUp,

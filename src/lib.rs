@@ -72,7 +72,7 @@ pub use dh_wal as wal;
 pub mod prelude {
     pub use dh_catalog::{
         AlgoSpec, AutoscalePolicy, Catalog, CatalogError, ColumnConfig, ColumnShape, ColumnStore,
-        DurableError, DurableOptions, DurableStore, IngestMode, ReadStats, RebuildPlan,
+        DurableError, DurableOptions, DurableStore, IngestMode, ReadStats, RebuildPlan, Replayer,
         ReshardPolicy, ShardMap, ShardPlan, ShardedCatalog, Snapshot, SnapshotSet, StoreKind,
         WriteBatch,
     };

@@ -211,7 +211,13 @@ fn three_sites_serve_degrade_and_catch_up_across_all_designs() {
         // on a fresh port). Bit-identical, and the composition heals.
         let server_peer = SiteServer::spawn(Arc::clone(&store2b)).unwrap();
         let peer = RemoteSite::new("r2-peer", server_peer.addr());
-        let report = catch_up(store2c.as_ref(), &peer, store2c.epoch()).unwrap();
+        let report = catch_up(
+            store2c.as_ref(),
+            &peer,
+            &mut Replayer::new(),
+            store2c.epoch(),
+        )
+        .unwrap();
         assert!(report.caught_up, "{design}: {report:?}");
         assert_eq!(report.epoch, spans2_before.epoch);
         let spans2_rebuilt = site2.snapshot_spans(COLUMN, None).unwrap();
